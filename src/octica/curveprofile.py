@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .linsys import HomForm, PLANE_VARS, Point, apply_transport, normalize_point, random_projectivity
+from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point,
+                     random_projectivity)
 from .pointsearch import common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
 from .singclass import DEFAULT_SEED, SingularityReport, classify, localize
@@ -86,17 +87,12 @@ def _mult3_points(f: MultiPoly, hints, seed: int) -> tuple[list[Point], bool]:
             back.append(transport_point(A, p))
         merged = list(pts)
         for p in back:
-            if p not in merged and _on_all(system, p):
+            if p not in merged and all(evaluate_at(q, p) == 0 for q in system):
                 merged.append(p)
         pts = merged
         if certified:
             return pts, True
     return pts, False
-
-
-def _on_all(system, p: Point) -> bool:
-    vals = {"x": p[0], "y": p[1], "z": p[2]}
-    return all(q.evaluate(vals) == 0 for q in system)
 
 
 def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int, seed: int) -> bool:

@@ -1,8 +1,9 @@
-"""Exact linear algebra over Q, over rational function fields, and over Q[t].
+"""Exact linear algebra over Q and over polynomial rings Q[t].
 
-Three layers:
-  * rref/kernel over any exact field (Fraction entries, or RatFunc entries),
-  * fraction-free Bareiss echelon for matrices of polynomials,
+One elimination path per ring:
+  * rref/kernel over Q (Fraction entries),
+  * fraction-free Bareiss echelon for matrices of polynomials, with kernels
+    by fraction-free back-substitution,
   * determinantal divisors over a single-parameter ring Q[t] via Smith-style
     reduction, for rank-drop loci.
 """
@@ -14,11 +15,11 @@ from typing import Sequence
 from .poly import MultiPoly, grevlex_key, poly_gcd
 
 
-# -- generic field echelon ------------------------------------------------
+# -- echelon over Q --------------------------------------------------------
 
 
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; entries may be Fraction or RatFunc.
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a matrix with Fraction entries.
 
     Returns (reduced rows, pivot column indices).  Deterministic: pivots are
     chosen as the first nonzero entry scanning rows in order.
@@ -51,11 +52,11 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     return m, pivots
 
 
-def rank(rows: list[list]) -> int:
+def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def kernel_basis(rows: list[list], ncols: int | None = None, one=Fraction(1), zero=Fraction(0)) -> list[list]:
+def kernel_basis(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
     """Exact right-kernel basis from the reduced echelon form.
 
     Deterministic: one basis vector per free column, in column order, with a 1
@@ -65,86 +66,18 @@ def kernel_basis(rows: list[list], ncols: int | None = None, one=Fraction(1), ze
     if not rows:
         if ncols is None:
             raise ValueError("need ncols for an empty matrix")
-        return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
+        return [[Fraction(int(j == i)) for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def mat_mul_vec(rows: list[list], vec: list) -> list:
-    return [sum((a * b for a, b in zip(row, vec)), start=row[0] * 0) for row in rows]
-
-
-# -- rational functions ---------------------------------------------------
-
-
-class RatFunc:
-    """Quotient of MultiPolys, normalised so the denominator is primitive
-    with positive leading coefficient."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = MultiPoly.const(num.vars, 1)
-        else:
-            g = poly_gcd(num, den)
-            if g.total_degree() > 0 or g.constant_value() != 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            c = den.rational_content()
-            den = den * (1 / c)
-            num = num * (1 / c)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(p: MultiPoly) -> "RatFunc":
-        return RatFunc(p)
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
 
 
 # -- fraction-free echelon over polynomial rings --------------------------
@@ -189,12 +122,6 @@ def bareiss_echelon(rows: list[list[MultiPoly]]) -> tuple[list[list[MultiPoly]],
     """
     if not rows:
         return [], []
-    frame = None
-    for row in rows:
-        for e in row:
-            frame = e.vars
-            break
-        break
     m = [_row_primitive(list(r)) for r in rows]
     ncols = len(m[0])
     pivots: list[int] = []
@@ -231,69 +158,71 @@ def poly_matrix_rank(rows: list[list[MultiPoly]]) -> int:
 
 def poly_kernel_basis(rows: list[list[MultiPoly]], ncols: int, frame: Sequence[str]) -> list[list[MultiPoly]]:
     """Right kernel over the fraction field, returned as cleared polynomial
-    vectors, each primitive with positive leading coefficient, deterministic."""
+    vectors, each primitive with positive leading coefficient, deterministic.
+
+    One vector per free column of the Bareiss echelon, in column order: the
+    kernel vector with zeros in the other free columns, found by
+    fraction-free back-substitution over the polynomial ring.
+    """
     frame = tuple(frame)
+    zero = MultiPoly.zero(frame)
+    one = MultiPoly.const(frame, 1)
     if not rows:
-        one = MultiPoly.const(frame, 1)
-        zero = MultiPoly.zero(frame)
         return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
-    rat_rows = [[RatFunc(e) for e in row] for row in rows]
-    zero_r = RatFunc(MultiPoly.zero(frame))
-    one_r = RatFunc(MultiPoly.const(frame, 1))
-    basis = kernel_basis(rat_rows, ncols=ncols, one=one_r, zero=zero_r)
+    echelon, pivots = bareiss_echelon(rows)
     out: list[list[MultiPoly]] = []
-    for vec in basis:
-        den = MultiPoly.const(frame, 1)
-        for e in vec:
-            if e:
-                g = poly_gcd(den, e.den)
-                den = den * e.den.exact_div(g)
-        cleared = [e.num * den.exact_div(e.den) if e else MultiPoly.zero(frame) for e in vec]
-        g: MultiPoly | None = None
-        for e in cleared:
-            if not e.is_zero():
-                g = e if g is None else poly_gcd(g, e)
-        if g is not None and (g.total_degree() > 0 or g.constant_value() != 1):
-            cleared = [e.exact_div(g) if not e.is_zero() else e for e in cleared]
-        lead = next(e for e in cleared if not e.is_zero())
-        if lead.leading_term()[1] < 0:
-            cleared = [-e for e in cleared]
-        c = None
-        for e in cleared:
-            if not e.is_zero():
-                cc = e.rational_content()
-                c = abs(cc) if c is None else _gcd_frac(c, cc)
-        if c is not None and c != 1:
-            cleared = [e * (1 / c) for e in cleared]
-        out.append(cleared)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in reversed(list(zip(echelon, pivots))):
+            s = zero
+            for e, x in zip(row[pc + 1:], v[pc + 1:]):
+                if e and x:
+                    s = s + e * x
+            if not s:
+                continue
+            g = poly_gcd(row[pc], s)
+            scale = row[pc].exact_div(g)
+            v = [x * scale if x else x for x in v]
+            v[pc] = -s.exact_div(g)
+        out.append(_primitive_vector(v))
     return out
+
+
+def _primitive_vector(v: list[MultiPoly]) -> list[MultiPoly]:
+    """Divide out the polynomial gcd of the entries, make the first nonzero
+    entry's leading coefficient positive, divide out the rational content."""
+    g: MultiPoly | None = None
+    for e in v:
+        if e:
+            g = e if g is None else poly_gcd(g, e)
+    if g.total_degree() > 0 or g.constant_value() != 1:
+        v = [e.exact_div(g) if e else e for e in v]
+    lead = next(e for e in v if e)
+    if lead.leading_term()[1] < 0:
+        v = [-e for e in v]
+    c = None
+    for e in v:
+        if e:
+            cc = e.rational_content()
+            c = abs(cc) if c is None else _gcd_frac(c, cc)
+    if c != 1:
+        v = [e * (1 / c) for e in v]
+    return v
 
 
 # -- determinantal divisors over Q[t] --------------------------------------
 
 
-def _uni_divmod(a: MultiPoly, b: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
-    """Euclidean division in Q[var] for polynomials supported on one variable."""
-    frame = a.vars
-    q = MultiPoly.zero(frame)
-    r = a
-    db = b.degree_in(var)
-    i = frame.index(var)
-    lb = b.coeff(tuple(db if j == i else 0 for j in range(len(frame))))
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lr = r.coeff(tuple(dr if j == i else 0 for j in range(len(frame))))
-        t = MultiPoly.monomial(frame, tuple(dr - db if j == i else 0 for j in range(len(frame))), lr / lb)
-        q = q + t
-        r = r - t * b
-    return q, r
-
-
 def determinantal_divisor(rows: list[list[MultiPoly]], r: int, var: str) -> MultiPoly:
     """gcd of all r x r minors of a matrix over Q[var], via Smith reduction.
 
-    Unimodular row/column operations preserve every determinantal divisor, so
-    the product of the first r diagonal invariant factors is the answer.
+    Entries live in the one-variable frame (var,), where `divmod_by` is
+    Euclidean division.  Unimodular row/column operations preserve every
+    determinantal divisor, so the product of the first r diagonal invariant
+    factors is the answer.
     The result is primitive with positive leading coefficient.
     """
     if r <= 0:
@@ -327,7 +256,7 @@ def determinantal_divisor(rows: list[list[MultiPoly]], r: int, var: str) -> Mult
             for i in range(top + 1, nrows):
                 if m[i][top].is_zero():
                     continue
-                q, rem = _uni_divmod(m[i][top], piv, var)
+                q, rem = m[i][top].divmod_by(piv)
                 m[i] = [a - q * b for a, b in zip(m[i], m[top])]
                 if not rem.is_zero():
                     m[top], m[i] = m[i], m[top]
@@ -338,7 +267,7 @@ def determinantal_divisor(rows: list[list[MultiPoly]], r: int, var: str) -> Mult
             for j in range(top + 1, ncols):
                 if m[top][j].is_zero():
                     continue
-                q, rem = _uni_divmod(m[top][j], piv, var)
+                q, rem = m[top][j].divmod_by(piv)
                 for row in m:
                     row[j] = row[j] - q * row[top]
                 if not rem.is_zero():

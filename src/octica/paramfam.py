@@ -178,7 +178,6 @@ def rank_drop_locus(M: ParamMatrix) -> RankDropLocus:
     if len(M.params) == 1:
         g = determinantal_divisor(M.entries, r, M.params[0])
     else:
-        n_minors = 1
         from math import comb
         if comb(M.rows, r) * comb(M.cols, r) > 20000:
             raise NotImplementedError("too many minors for a multi-parameter rank-drop locus")
@@ -234,13 +233,13 @@ def compare_kernels_at(M: ParamMatrix, values: dict[str, Fraction]) -> KernelCom
     vals = {p: Fraction(values[p]) for p in M.params}
     for vec in generic:
         limit.append([e.evaluate(vals) for e in vec])
-    deficient = rank(limit) < len(limit) if limit else False
+    limit_rank = rank(limit) if limit else 0
     inclusion = all(_span_contains(special, v) for v in limit)
     if not inclusion:
         raise AssertionError("kernel limit escaped the specialised kernel; "
                              "semicontinuity violated")
-    strict = inclusion and (rank(limit) if limit else 0) < len(special)
-    return KernelComparison(special, limit, inclusion, strict, deficient)
+    strict = limit_rank < len(special)
+    return KernelComparison(special, limit, inclusion, strict, limit_rank < len(limit))
 
 
 @dataclass
@@ -271,7 +270,7 @@ def component_split_report(family: UniversalFamily, comparison: KernelComparison
 CONIC_EXPS = monomial_basis(3, 2)
 
 
-def _conic_eval_row(p: Point, frame=None) -> list:
+def _conic_eval_row(p: Point) -> list[Fraction]:
     values = {"x": p[0], "y": p[1], "z": p[2]}
     row = []
     for exp in CONIC_EXPS:

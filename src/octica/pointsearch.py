@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linsys import PLANE_VARS, Point, normalize_point
+from .linsys import PLANE_VARS, Point, evaluate_at, normalize_point
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_part
 from .singclass import rational_roots
 
@@ -79,7 +79,7 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
 
     def record(p) -> None:
         q = normalize_point(p)
-        if q not in found and _verify_point(polys, q):
+        if q not in found and all(evaluate_at(f, q) == 0 for f in polys):
             found.append(q)
 
     for p in hints:
@@ -116,11 +116,6 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
         if leftover.is_constant() and all_dirs_clean:
             certified = True
     return found, certified
-
-
-def _verify_point(polys, p: Point) -> bool:
-    vals = {"x": p[0], "y": p[1], "z": p[2]}
-    return all(q.evaluate(vals) == 0 for q in polys)
 
 
 def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:

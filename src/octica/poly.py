@@ -108,6 +108,14 @@ class MultiPoly:
     def coeff(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
+    def coeff_of(self, name: str, k: int) -> "MultiPoly":
+        """Coefficient of name^k, kept in this frame with name's exponent 0."""
+        i = self.vars.index(name)
+        out = MultiPoly.__new__(MultiPoly)
+        out.vars = self.vars
+        out.terms = {exp[:i] + (0,) + exp[i + 1:]: c for exp, c in self.terms.items() if exp[i] == k}
+        return out
+
     def support_vars(self) -> set[str]:
         used: set[str] = set()
         for exp in self.terms:
@@ -455,22 +463,6 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 break
         return c
 
-    def to_main_list(p: MultiPoly) -> list[MultiPoly]:
-        by = p.coefficients_in((main,))
-        d = max(k[0] for k in by)
-        rest_frame = next(iter(by.values())).vars
-        out = [MultiPoly.zero(rest_frame) for _ in range(d + 1)]
-        for k, cp in by.items():
-            out[k[0]] = cp
-        return out
-
-    def from_main_list(cs: list[MultiPoly]) -> MultiPoly:
-        total = MultiPoly.zero(f.vars)
-        xm = MultiPoly.var(f.vars, main)
-        for i, cp in enumerate(cs):
-            total = total + cp.rename(f.vars) * xm ** i
-        return total
-
     cf = content_wrt(f)
     cg = content_wrt(g)
     cc = poly_gcd(cf, cg).rename(f.vars)
@@ -499,14 +491,7 @@ def pseudo_remainder(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
         raise ZeroDivisionError("pseudo-division by zero")
     if da < db:
         return A
-    i = A.vars.index(main)
-
-    def coeff_of(p: MultiPoly, k: int) -> MultiPoly:
-        terms = {exp: c for exp, c in p.terms.items() if exp[i] == k}
-        out = {tuple(e if j != i else 0 for j, e in enumerate(exp)): c for exp, c in terms.items()}
-        return MultiPoly(p.vars, out)
-
-    lb = coeff_of(B, db)
+    lb = B.coeff_of(main, db)
     xm = MultiPoly.var(A.vars, main)
     R = A
     for _ in range(da - db + 1):
@@ -514,7 +499,7 @@ def pseudo_remainder(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
         if dr < db or R.is_zero():
             R = R * lb
             continue
-        lr = coeff_of(R, dr)
+        lr = R.coeff_of(main, dr)
         R = R * lb - lr * xm ** (dr - db) * B
     return R
 
@@ -565,17 +550,8 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, main: str) -> list[list[MultiPo
     dg = g.degree_in(main)
     if df <= 0 and dg <= 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    i = f.vars.index(main)
-
-    def coeffs(p: MultiPoly, d: int) -> list[MultiPoly]:
-        out: list[dict] = [{} for _ in range(d + 1)]
-        for exp, c in p.terms.items():
-            rest = tuple(e if j != i else 0 for j, e in enumerate(exp))
-            out[exp[i]][rest] = c
-        return [MultiPoly(p.vars, t) for t in out]
-
-    cf = coeffs(f, df)
-    cg = coeffs(g, dg)
+    cf = [f.coeff_of(main, k) for k in range(df + 1)]
+    cg = [g.coeff_of(main, k) for k in range(dg + 1)]
     n = df + dg
     zero = MultiPoly.zero(f.vars)
     rows: list[list[MultiPoly]] = []
@@ -648,14 +624,6 @@ def resultant(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
     if A.degree_in(main) < B.degree_in(main):
         A, B = B, A
         swapped = True
-    i = f.vars.index(main)
-
-    def lc(p: MultiPoly) -> MultiPoly:
-        d = p.degree_in(main)
-        terms = {tuple(e if j != i else 0 for j, e in enumerate(exp)): c
-                 for exp, c in p.terms.items() if exp[i] == d}
-        return MultiPoly(p.vars, terms)
-
     one = MultiPoly.const(f.vars, 1)
     g_, h_ = one, one
     s = 1
@@ -673,7 +641,7 @@ def resultant(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
             return MultiPoly.zero(f.vars)
         denom = g_ * h_ ** delta
         B = R.exact_div(denom)
-        g_ = lc(A)
+        g_ = A.coeff_of(main, A.degree_in(main))
         if delta > 0:
             h_ = (g_ ** delta).exact_div(h_ ** (delta - 1))
         if B.degree_in(main) <= 0:

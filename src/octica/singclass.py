@@ -11,6 +11,7 @@ resultant in sheared coordinates, validated on a second shear.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,8 +218,8 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly, seed: int = DEF
         if len(gu.terms) != 1:
             continue
         # no common zero at x-infinity over y = 0
-        lp = _leading_coeff_in(pc, "x")
-        lq = _leading_coeff_in(qc, "x")
+        lp = pc.coeff_of("x", pc.degree_in("x"))
+        lq = qc.coeff_of("x", qc.degree_in("x"))
         if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
             continue
         res = resultant(pc, qc, "x")
@@ -232,14 +233,6 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly, seed: int = DEF
             if cnt >= 2:
                 return total + v
     raise ShearValidationError(f"no stable intersection number after {attempts} shears: {sorted(seen)}")
-
-
-def _leading_coeff_in(f: MultiPoly, name: str) -> MultiPoly:
-    d = f.degree_in(name)
-    i = f.vars.index(name)
-    terms = {tuple(0 if j == i else e for j, e in enumerate(exp)): c
-             for exp, c in f.terms.items() if exp[i] == d}
-    return MultiPoly(f.vars, terms)
 
 
 def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
@@ -276,7 +269,7 @@ def rational_roots(f: MultiPoly, name: str) -> list[Fraction]:
         raise ValueError("zero polynomial has every root")
     lead = 1
     for c in coeffs:
-        lead = lead * c.denominator // _igcd(lead, c.denominator)
+        lead = lead * c.denominator // math.gcd(lead, c.denominator)
     ints = [int(c * lead) for c in coeffs]
     low = 0
     while ints[low] == 0:
@@ -285,7 +278,7 @@ def rational_roots(f: MultiPoly, name: str) -> list[Fraction]:
     ints = ints[low:]
     g = 0
     for c in ints:
-        g = _igcd(g, abs(c))
+        g = math.gcd(g, abs(c))
     ints = [c // g for c in ints]
     if len(ints) == 1:
         return sorted(roots)
@@ -303,35 +296,9 @@ def rational_roots(f: MultiPoly, name: str) -> list[Fraction]:
     return sorted(roots)
 
 
-def _igcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
-
-
-def binary_form_rational_directions(g: MultiPoly, u: str, v: str) -> list[tuple[Fraction, Fraction]]:
-    """Rational projective roots (u0 : v0) of a nonzero binary form."""
-    g = g.rename((u, v))
-    iu, iv = 0, 1
-    out: list[tuple[Fraction, Fraction]] = []
-    k = min(exp[iv] for exp in g.terms)
-    if k > 0:
-        out.append((Fraction(1), Fraction(0)))
-    dehom = MultiPoly((u,), {(exp[iu],): c for exp, c in g.terms.items() if exp[iv] == k})
-    if dehom.total_degree() > 0:
-        for root in rational_roots(_squarefree_uni(dehom, u), u):
-            out.append((root, Fraction(1)))
-    return out
-
-
-def _squarefree_uni(f: MultiPoly, name: str) -> MultiPoly:
-    g = poly_gcd(f, f.derivative(name))
-    return f.exact_div(g.rename(f.vars)) if g.total_degree() > 0 else f
-
-
 def is_rational_square(q: Fraction) -> bool:
     if q < 0:
         return False
-    import math
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     return rn * rn == q.numerator and rd * rd == q.denominator
@@ -576,7 +543,6 @@ def _split_binary_quadratic(quad: MultiPoly) -> list[tuple[Fraction, Fraction]]:
         if b != 0:
             dirs.append(_direction_of_line(MultiPoly(LOCAL_VARS, {(1, 0): b, (0, 1): c})))
         return dirs
-    import math
     disc = b * b - 4 * a * c
     rn = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
     for sgn in (1, -1):

@@ -1,4 +1,6 @@
 """Parametric families, rank drops, kernel comparisons, conic certificates."""
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from octica.paramfam import (ParamMatrix, build_condition_matrix, compare_kernel
                              degenerate_nn_direction_analysis, generic_rank,
                              parametric_nn_family, rank_drop_locus,
                              verify_no_four_33_points)
-from octica.poly import MultiPoly
+from octica.poly import MultiPoly, poly_gcd
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -132,6 +134,67 @@ def test_degenerate_direction_analysis():
     assert generic_rank(matrix) == 2
     basis = poly_kernel_basis(matrix.entries, family.size, ("s",))
     assert len(basis) == 14
+
+
+# anchors of the quadruple point with no zero coordinate, as in the benchmark's
+# parametric requests; the rank drops at t = b/a
+NON_AXIS_ANCHORS = [(2, 3, 5), (-1, 2, 3), (3, -2, 1)]
+
+
+@pytest.mark.parametrize("anchor", NON_AXIS_ANCHORS + [None], ids=str)
+def test_poly_kernel_basis_is_exact_primitive_and_complete(anchor):
+    """Each vector is in the kernel over Q[t], primitive with positive leading
+    coefficient, and together they span sympy's nullspace over QQ(t).  The
+    anchor None stands for the degenerate-direction matrix."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if anchor is None:
+        matrix = degenerate_nn_direction_analysis(n=3, degree=6, param="s")[1]
+    else:
+        family = parametric_nn_family(n=3, degree=8, param="t")
+        matrix = build_condition_matrix(family, [MultiplicityAtPoint(anchor, 4)])
+    (param,) = matrix.params
+    basis = poly_kernel_basis(matrix.entries, matrix.cols, matrix.params)
+    zero = MultiPoly.zero(matrix.params)
+    for v in basis:
+        for row in matrix.entries:
+            assert sum((e * x for e, x in zip(row, v)), zero).is_zero()
+        nonzero = [e for e in v if not e.is_zero()]
+        g = nonzero[0]
+        for e in nonzero[1:]:
+            g = poly_gcd(g, e)
+        assert g.is_constant()
+        coeffs = [c for e in nonzero for c in e.terms.values()]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert nonzero[0].leading_term()[1] > 0
+
+    # same span as sympy's nullspace over QQ(t)
+    sym_t = sympy.Symbol(param)
+    field = sympy.QQ.frac_field(sym_t)
+
+    def to_field(rows):
+        return DomainMatrix([[field.from_sympy(sympy.sympify(str(e), locals={param: sym_t})) for e in row]
+                             for row in rows], (len(rows), matrix.cols), field)
+
+    theirs = to_field(matrix.entries).nullspace()
+    ours = to_field(basis)
+    assert ours.shape == theirs.shape
+    assert ours.vstack(theirs).rank() == len(basis)
+
+
+def test_poly_kernel_basis_golden_output():
+    # printed basis at the anchor (2:3:5): the README promises byte-identical
+    # output, so a change of pivots or normalisation must show here
+    family = parametric_nn_family(n=3, degree=8, param="t")
+    matrix = build_condition_matrix(family, [MultiplicityAtPoint((2, 3, 5), 4)])
+    basis = poly_kernel_basis(matrix.entries, family.size, matrix.params)
+    text = "\n".join(" ".join(str(e) for e in v) for v in basis)
+    assert text.split("\n")[0] == ("16*t^4 - 96*t^3 + 216*t^2 - 216*t + 81 64*t^3 - 288*t^2 + 432*t - 216 "
+                                   "96*t^2 - 288*t + 216 64*t - 96 16" + " 0" * 28)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "09973eacf7b54344b007fb8b1ef306ecebd49085c13db57d2e4da36f4cc28490")
 
 
 def test_conic_through_five_points():

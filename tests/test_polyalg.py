@@ -1,14 +1,15 @@
 """Exact polynomial arithmetic, linear algebra and resultants."""
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from octica.linalg import kernel_basis, rank
-from octica.poly import (MultiPoly, VariableMismatch, monomial_basis, poly_gcd,
-                         resultant, resultant_sylvester, squarefree_decomposition,
-                         squarefree_part)
+from octica.linalg import determinantal_divisor, kernel_basis, rank
+from octica.poly import (MultiPoly, VariableMismatch, det_bareiss, monomial_basis,
+                         poly_gcd, resultant, resultant_sylvester,
+                         squarefree_decomposition, squarefree_part)
 
 V = ("x", "y", "z")
 X = MultiPoly.var(V, "x")
@@ -161,3 +162,32 @@ def test_rank_plus_kernel_is_columns():
     for _ in range(25):
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(6)] for _ in range(5)]
         assert rank(rows) + len(kernel_basis(rows)) == 6
+
+
+def _minor_gcd(rows, r):
+    """gcd of all r x r minors by Bareiss determinants, primitive."""
+    g = MultiPoly.zero(rows[0][0].vars)
+    for rs in combinations(range(len(rows)), r):
+        for cs in combinations(range(len(rows[0])), r):
+            g = poly_gcd(g, det_bareiss([[rows[i][j] for j in cs] for i in rs]))
+    return g
+
+
+def test_determinantal_divisor_matches_gcd_of_minors():
+    t = MultiPoly.var(("t",), "t")
+    one = MultiPoly.const(("t",), 1)
+    # the pivot t leaves remainder 1 on t^2 + 1, so the Smith reduction must
+    # swap the remainder in as the new pivot, along a row and along a column
+    cases = [
+        [[t * t + one, t, t + one]],
+        [[t * t + one], [t], [t + one]],
+        [[t * t + one, t], [t + one, t * t]],
+        [[t * t + one, t, t + one], [t, t + one, t * t], [t + one, t * t + one, t]],
+        [[t * t + one, t * t * t], [t * t * t + t, t ** 4 + t * t]],
+    ]
+    for rows in cases:
+        for r in range(1, len(rows) + 1):
+            expected = _minor_gcd(rows, r)
+            got = determinantal_divisor(rows, r, "t")
+            assert got == (expected if expected.is_zero() else expected.primitive())
+    assert (t * t + one).divmod_by(t)[1] == one

@@ -26,8 +26,6 @@ from .linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineCon
 from .parsing import ParseError, parse_poly
 from .poly import MultiPoly
 
-DEFAULT_SEED = 77003
-
 
 class UserError(ValueError):
     pass
@@ -141,13 +139,13 @@ def cmd_classify(args) -> int:
     poly = _form(args.curve)
     if args.point:
         curve = HomForm.of(poly)
-        report = classify_point(curve, _point(args.point), seed=args.seed)
+        report = classify_point(curve, _point(args.point))
         _emit(report.to_json())
         return 0
     if poly.degree_in("z") > 0:
         raise UserError("a trivariate curve needs --point; a germ must use only x and y")
     germ = LocalCurve(poly.rename(("x", "y")))
-    report = classify(germ, seed=args.seed)
+    report = classify(germ)
     _emit(report.to_json())
     return 0
 
@@ -314,6 +312,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
+        from .curveprofile import DEFAULT_SEED
+
         env = os.environ.get("OCTICA_SEED")
         args.seed = int(env) if env else DEFAULT_SEED
     try:

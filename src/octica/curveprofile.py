@@ -16,7 +16,9 @@ from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, n
                      random_projectivity)
 from .pointsearch import common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
-from .singclass import DEFAULT_SEED, SingularityReport, classify, localize
+from .singclass import SingularityReport, classify, localize
+
+DEFAULT_SEED = 77003
 
 
 @dataclass
@@ -165,7 +167,7 @@ def curve_profile(curve: HomForm, hint_points=(), seed: int = DEFAULT_SEED) -> C
         if f.evaluate(curve_vals(p)) != 0:
             continue
         classified.append(p)
-        profile.reports.append(classify(localize(curve, p), seed=seed))
+        profile.reports.append(classify(localize(curve, p)))
 
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     total_mu = 0
@@ -205,7 +207,7 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, seed: int, issues: li
                 continue
             if u.total_degree() >= 1 and u.evaluate(vals) == 0:
                 issues.append(f"reduced part passes through a singular point {p} of the doubled part")
-            rep = classify(localize(HomForm.of(v), p), seed=seed)
+            rep = classify(localize(HomForm.of(v), p))
             if rep.type_string() != "A1":
                 issues.append(f"doubled part has a non-nodal singularity at {p}")
     # contact between reduced and doubled part at most 2 everywhere

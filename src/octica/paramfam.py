@@ -510,7 +510,7 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
             notes.append("residual coincidence polynomials share a factor")
         elif not R.is_constant():
             from .singclass import rational_roots
-            for u0 in rational_roots(squarefree_part(R.rename(("u", "v"))).substitute({"v": Fraction(1)}).rename(("u",)), "u"):
+            for u0 in rational_roots(R.rename(("u", "v")).substitute({"v": Fraction(1)}).rename(("u",)), "u"):
                 sub1 = q1.substitute({"u": u0}).rename(("v",))
                 sub2 = q2.substitute({"u": u0}).rename(("v",))
                 gg = poly_gcd(sub1, sub2)

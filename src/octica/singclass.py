@@ -7,27 +7,21 @@ the ordinary and degenerate triple points with infinitely-near triple point
 J10 / J_{2,p}, and the six non-isolated types along a doubled component), or
 none of these.  Milnor numbers are computed exactly as the intersection
 multiplicity of the two partial derivatives at the origin, by the order of a
-resultant in sheared coordinates, validated on a second shear.
+resultant in sheared coordinates, at the first shear of a fixed sweep under
+which the resultant order provably equals the intersection number.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intutil import divisors
 from .linsys import HomForm, PLANE_VARS, Point, apply_transport, invert3, normalize_point, transport_matrix
-from .poly import (MultiPoly, poly_gcd, resultant,
-                   squarefree_decomposition, univariate_coeff_list)
+from .poly import (MultiPoly, poly_gcd, resultant, squarefree_decomposition,
+                   squarefree_part, univariate_coeff_list)
 
 LOCAL_VARS = ("x", "y")
-
-DEFAULT_SEED = 77003
-
-
-class ShearValidationError(RuntimeError):
-    """The shear-resultant intersection numbers refused to stabilise."""
 
 
 # -- local curves -------------------------------------------------------------
@@ -167,7 +161,7 @@ def _order_along_axis(f: MultiPoly, axis_var: str) -> int | None:
     return min(exp[f.vars.index(axis_var)] for exp in restr.terms)
 
 
-def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly, seed: int = DEFAULT_SEED) -> int | None:
+def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
     """I_0(p, q) for bivariate polynomials; None encodes infinity."""
     p = p.rename(LOCAL_VARS)
     q = q.rename(LOCAL_VARS)
@@ -197,16 +191,15 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly, seed: int = DEF
             total += k * o
     if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
         return total
-    rng = random.Random(seed)
-    seen: list[int] = []
-    attempts = 0
     x = MultiPoly.var(LOCAL_VARS, "x")
     y = MultiPoly.var(LOCAL_VARS, "y")
-    while attempts < 12 and len(seen) < 6:
-        c = Fraction(rng.randint(1, 40))
-        if rng.randint(0, 1):
-            c = -c
-        attempts += 1
+    # Sweep the shears y -> y + c*x, c = 0, 1, -1, 2, -2, ...  Once the checks
+    # below pass, the origin is the only common zero on the line y = 0, with
+    # none at x-infinity over it, so ord_y Res_x is exactly I_0.  Only finitely
+    # many c fail them, since the coprime p and q have finitely many common
+    # zeros, linear factors and zeros of their top-degree forms.
+    for k in itertools.count():
+        c = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
         pc = p.substitute({"y": y + c * x})
         qc = q.substitute({"y": y + c * x})
         # only the origin may be a common zero on the sweep line y = 0
@@ -214,25 +207,15 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly, seed: int = DEF
         qu = qc.substitute({"y": Fraction(0)}).rename(("x",))
         if pu.is_zero() or qu.is_zero():
             continue
-        gu = poly_gcd(pu, qu)
-        if len(gu.terms) != 1:
+        if len(poly_gcd(pu, qu).terms) != 1:
             continue
         # no common zero at x-infinity over y = 0
         lp = pc.coeff_of("x", pc.degree_in("x"))
         lq = qc.coeff_of("x", qc.degree_in("x"))
         if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
             continue
-        res = resultant(pc, qc, "x")
-        restr = res.rename(("y",)) if res.degree_in("x") <= 0 else None
-        if restr is None or restr.is_zero():
-            continue
-        order = min(exp[0] for exp in restr.terms)
-        seen.append(order)
-        counts = {v: seen.count(v) for v in set(seen)}
-        for v, cnt in counts.items():
-            if cnt >= 2:
-                return total + v
-    raise ShearValidationError(f"no stable intersection number after {attempts} shears: {sorted(seen)}")
+        res = resultant(pc, qc, "x").rename(("y",))
+        return total + min(exp[0] for exp in res.terms)
 
 
 def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
@@ -244,7 +227,7 @@ def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
     return True
 
 
-def milnor_number(germ: LocalCurve | MultiPoly, seed: int = DEFAULT_SEED) -> int | None:
+def milnor_number(germ: LocalCurve | MultiPoly) -> int | None:
     """Milnor number at the origin; None encodes a non-isolated germ."""
     f = germ.f_local if isinstance(germ, LocalCurve) else germ
     f = f.rename(LOCAL_VARS)
@@ -256,44 +239,73 @@ def milnor_number(germ: LocalCurve | MultiPoly, seed: int = DEFAULT_SEED) -> int
         return None
     if multiplicity(f) == 1:
         return 0
-    return intersection_multiplicity_origin(f.derivative("x"), f.derivative("y"), seed=seed)
+    return intersection_multiplicity_origin(f.derivative("x"), f.derivative("y"))
 
 
 # -- rational root extraction --------------------------------------------------
 
 
 def rational_roots(f: MultiPoly, name: str) -> list[Fraction]:
-    """All rational roots of a univariate polynomial, sorted."""
-    coeffs = univariate_coeff_list(f.rename((name,)), name)
-    if all(c == 0 for c in coeffs):
+    """All rational roots of a univariate polynomial, sorted.
+
+    No integer is factored (Loos 1983): the roots of the squarefree part
+    modulo a prime p at which they are all simple are Newton-lifted until
+    p^k exceeds 2*|lead*a0|, which bounds lead*r for every rational root r,
+    and each symmetric residue is checked exactly.
+    """
+    f = f.rename((name,))
+    if f.is_zero():
         raise ValueError("zero polynomial has every root")
-    lead = 1
-    for c in coeffs:
-        lead = lead * c.denominator // math.gcd(lead, c.denominator)
-    ints = [int(c * lead) for c in coeffs]
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots = [Fraction(0)] if low > 0 else []
-    ints = ints[low:]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if len(ints) == 1:
-        return sorted(roots)
-    a0, an = ints[0], ints[-1]
-    for pnum in divisors(a0):
-        for pden in divisors(an):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if cand in roots:
-                    continue
-                val = 0
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(cand)
+    if f.degree_in(name) >= 2:
+        f = squarefree_part(f)
+    coeffs = univariate_coeff_list(f, name)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = [int(c * den) for c in coeffs]
+    roots = []
+    if a[0] == 0:   # a squarefree or linear polynomial has x at most once
+        roots.append(Fraction(0))
+        a = a[1:]
+    if len(a) == 1:
+        return roots
+    da = [k * c for k, c in enumerate(a)][1:]
+    lead = a[-1]
+    bound = 2 * abs(lead * a[0])
+    p, residues = _simple_roots_mod_prime(a, da)
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
+        v = lead * r % m
+        cand = Fraction(v - m if 2 * v > m else v, lead)
+        if sum(c * cand ** k for k, c in enumerate(a)) == 0:
+            roots.append(cand)
     return sorted(roots)
+
+
+def _horner(a: list[int], r: int, m: int) -> int:
+    """The polynomial with ascending coefficients a at r, modulo m."""
+    v = 0
+    for c in reversed(a):
+        v = (v * r + c) % m
+    return v
+
+
+def _simple_roots_mod_prime(a: list[int], da: list[int]) -> tuple[int, list[int]]:
+    """The first prime p not dividing the leading coefficient at which every
+    root of a modulo p is simple, with those roots.
+
+    Such a p exists when a is squarefree: any p dividing neither the leading
+    coefficient nor the discriminant will do.
+    """
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) or a[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if _horner(a, r, p) == 0]
+        if all(_horner(da, r, p) for r in residues):
+            return p, residues
 
 
 def is_rational_square(q: Fraction) -> bool:
@@ -389,7 +401,7 @@ def _not_hlc(reason: str, m: int, mu=None, point=None) -> SingularityReport:
     return SingularityReport("NotHLC", (), m, mu, None, None, None, reason, point)
 
 
-def classify(germ: LocalCurve | MultiPoly, seed: int = DEFAULT_SEED) -> SingularityReport:
+def classify(germ: LocalCurve | MultiPoly) -> SingularityReport:
     f = (germ.f_local if isinstance(germ, LocalCurve) else germ).rename(LOCAL_VARS)
     point = germ.original_point if isinstance(germ, LocalCurve) else None
     transport = germ.transport if isinstance(germ, LocalCurve) else None
@@ -398,14 +410,14 @@ def classify(germ: LocalCurve | MultiPoly, seed: int = DEFAULT_SEED) -> Singular
     if f.evaluate({"x": 0, "y": 0}) != 0:
         raise ValueError("germ does not pass through the origin")
     if not is_isolated(f):
-        rep = _classify_nonisolated(f, seed)
+        rep = _classify_nonisolated(f)
         rep.point = point
         _globalise_tangent(rep, transport)
         return rep
     m = multiplicity(f)
     if m == 1:
         return SingularityReport("Smooth", (), 1, 0, None, 1, None, "", point)
-    mu = milnor_number(f, seed=seed)
+    mu = milnor_number(f)
     assert mu is not None
     cone = tangent_cone(f)
     structure = squarefree_decomposition(cone)
@@ -413,9 +425,9 @@ def classify(germ: LocalCurve | MultiPoly, seed: int = DEFAULT_SEED) -> Singular
     if m == 2:
         rep = SingularityReport("A", (mu,), 2, mu, None, _branch_count_A(mu), None, "", point)
     elif m == 3:
-        rep = _classify_triple(f, mu, structure, seed, point)
+        rep = _classify_triple(f, mu, structure, point)
     elif m == 4:
-        rep = _classify_quadruple(f, mu, structure, seed, point)
+        rep = _classify_quadruple(f, mu, structure, point)
     else:
         rep = _not_hlc(f"multiplicity {m} exceeds 4", m, mu, point)
     _globalise_tangent(rep, transport)
@@ -433,7 +445,7 @@ def _direction_of_line(line: MultiPoly) -> tuple[Fraction, Fraction]:
     return (b, -a)
 
 
-def _classify_triple(f, mu, structure, seed, point) -> SingularityReport:
+def _classify_triple(f, mu, structure, point) -> SingularityReport:
     by_mult = {}
     for k, piece in structure:
         by_mult.setdefault(k, []).append(piece)
@@ -478,7 +490,7 @@ def _classify_triple(f, mu, structure, seed, point) -> SingularityReport:
     return _not_hlc("unrecognised triple cone", 3, mu, point)
 
 
-def _classify_quadruple(f, mu, structure, seed, point) -> SingularityReport:
+def _classify_quadruple(f, mu, structure, point) -> SingularityReport:
     by_mult: dict[int, list[MultiPoly]] = {}
     for k, piece in structure:
         by_mult.setdefault(k, []).append(piece)
@@ -519,7 +531,7 @@ def _classify_quadruple(f, mu, structure, seed, point) -> SingularityReport:
         rs = []
         for d in dirs:
             strict = strict_germ_at_direction(f, d)
-            local_mu = milnor_number(strict, seed=seed)
+            local_mu = milnor_number(strict)
             if local_mu is None:
                 return _not_hlc("non-isolated infinitely-near structure at a repeated direction", 4, mu, point)
             rs.append(local_mu + 1)
@@ -554,7 +566,7 @@ def _split_binary_quadratic(quad: MultiPoly) -> list[tuple[Fraction, Fraction]]:
     return dirs
 
 
-def _classify_nonisolated(f: MultiPoly, seed: int) -> SingularityReport:
+def _classify_nonisolated(f: MultiPoly) -> SingularityReport:
     origin = {"x": Fraction(0), "y": Fraction(0)}
     pieces = squarefree_decomposition(f)
     v = MultiPoly.const(LOCAL_VARS, 1)
@@ -576,17 +588,17 @@ def _classify_nonisolated(f: MultiPoly, seed: int) -> SingularityReport:
             return SingularityReport("A_inf", (), m_all, None, 0, None, None, "")
         mu_u = multiplicity(u)
         if mu_u == 1:
-            contact = intersection_multiplicity_origin(u, v, seed=seed)
+            contact = intersection_multiplicity_origin(u, v)
             if contact == 1:
                 return SingularityReport("D_inf", (), m_all, None, 1, None, None, "")
             if contact == 2:
                 return SingularityReport("J2_inf", (), m_all, None, 4, None, None, "")
             return _not_hlc(f"reduced branch meets the doubled component with contact {contact}", m_all)
         if mu_u == 2:
-            contact = intersection_multiplicity_origin(u, v, seed=seed)
+            contact = intersection_multiplicity_origin(u, v)
             if contact != 2:
                 return _not_hlc(f"double point of the reduced part meets the doubled component with contact {contact}", m_all)
-            mu_val = milnor_number(u, seed=seed)
+            mu_val = milnor_number(u)
             if mu_val is None:
                 return _not_hlc("reduced part is itself non-reduced", m_all)
             if mu_val == 1:
@@ -597,7 +609,7 @@ def _classify_nonisolated(f: MultiPoly, seed: int) -> SingularityReport:
     if mv == 2:
         if not u.is_constant():
             return _not_hlc("reduced branch through a singular point of the doubled component", m_all)
-        if not is_isolated(v) or milnor_number(v, seed=seed) != 1:
+        if not is_isolated(v) or milnor_number(v) != 1:
             return _not_hlc("doubled component with a singularity worse than a node", m_all)
         return SingularityReport("Y_inf_inf", (), m_all, None, 4, None, None, "")
     return _not_hlc("doubled component of multiplicity >= 3", m_all)
@@ -616,5 +628,5 @@ def _globalise_tangent(rep: SingularityReport, transport) -> None:
     rep.distinguished_tangent = MultiPoly(PLANE_VARS, terms).primitive()
 
 
-def classify_point(curve: HomForm, point, seed: int = DEFAULT_SEED) -> SingularityReport:
-    return classify(localize(curve, point), seed=seed)
+def classify_point(curve: HomForm, point) -> SingularityReport:
+    return classify(localize(curve, point))

@@ -7,13 +7,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curveprofile import curve_profile
+from .curveprofile import DEFAULT_SEED, curve_profile
 from .linsys import (HomForm, MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
                      Point, condition_ideal_graded_piece, divisibility_multiplicity,
                      normalize_point)
 from .paramfam import FourPointsCertificate, verify_no_four_33_points
 from .poly import MultiPoly
-from .singclass import DEFAULT_SEED, intersection_multiplicity_origin, localize
+from .singclass import intersection_multiplicity_origin, localize
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -38,14 +38,14 @@ class LemmaCheckResult:
         }
 
 
-def intersection_multiplicity(f: HomForm, g: HomForm, point, seed: int = DEFAULT_SEED) -> int:
+def intersection_multiplicity(f: HomForm, g: HomForm, point) -> int:
     """Local intersection multiplicity of two curves at a rational point."""
     p = normalize_point(point)
     gf = localize(f, p) if _on(f, p) else None
     gg = localize(g, p) if _on(g, p) else None
     if gf is None or gg is None:
         return 0
-    val = intersection_multiplicity_origin(gf.f_local, gg.f_local, seed=seed)
+    val = intersection_multiplicity_origin(gf.f_local, gg.f_local)
     if val is None:
         raise ValueError("curves share a component through the point")
     return val
@@ -55,12 +55,12 @@ def _on(f: HomForm, p: Point) -> bool:
     return f.poly.evaluate({"x": p[0], "y": p[1], "z": p[2]}) == 0
 
 
-def bezout_check(f: HomForm, g: HomForm, points, seed: int = DEFAULT_SEED) -> bool:
+def bezout_check(f: HomForm, g: HomForm, points) -> bool:
     """Sum of local intersection numbers at the given rational common points
     never exceeds the product of the degrees."""
     total = 0
     for p in points:
-        total += intersection_multiplicity(f, g, p, seed=seed)
+        total += intersection_multiplicity(f, g, p)
     return total <= f.degree * g.degree
 
 

@@ -113,6 +113,17 @@ def test_outputs_deterministic(capsys, constraint_file):
     assert a == b
 
 
+def test_classify_ignores_the_seed(capsys):
+    # the classifier draws nothing at random, so --seed cannot change it
+    outputs = []
+    for seed in ("1", "2"):
+        assert main(["--seed", seed, "classify", "--curve", "x^4 + x^2*y^2 + y^6"]) == 0
+        assert main(["--seed", seed, "classify", "--curve", "x*y*z*(x + 2*y + 3*z)", "--point", "0,0,1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"type": "X11"' in outputs[0] and '"type": "A1"' in outputs[0]
+
+
 def test_user_errors_exit_1(capsys, tmp_path):
     assert main(["classify", "--curve", "x +* y"]) == 1
     err = capsys.readouterr().err

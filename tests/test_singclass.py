@@ -1,5 +1,6 @@
 """Germ classification: the golden table of admissible singularities."""
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from octica.linsys import HomForm, PLANE_VARS
 from octica.poly import MultiPoly
 from octica.singclass import (LOCAL_VARS, blow_up_strict_transform,
-                              classify, is_isolated, localize, milnor_number,
-                              multiplicity, strict_germ_at_direction,
-                              tangent_cone_structure)
+                              classify, intersection_multiplicity_origin,
+                              is_isolated, localize, milnor_number,
+                              multiplicity, rational_roots,
+                              strict_germ_at_direction, tangent_cone_structure)
 
 x = MultiPoly.var(LOCAL_VARS, "x")
 y = MultiPoly.var(LOCAL_VARS, "y")
@@ -153,3 +155,135 @@ def test_milnor_examples():
     assert milnor_number(x ** 4 + x ** 2 * y ** 2 + y ** 5) == 10
     assert milnor_number(x ** 2) is None
     assert milnor_number(x * y) == 1
+
+
+# -- rational roots -------------------------------------------------------------
+
+T = MultiPoly.var(("t",), "t")
+
+
+def _random_univariate(rng):
+    """A product of rational linear factors, irreducible quadratics and
+    repeated factors, with a rational leading coefficient."""
+    f = MultiPoly.const(("t",), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.6:
+            root = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            f = f * (T - root) ** rng.randint(1, 3)
+        else:
+            b = rng.randint(-9, 9)
+            c = rng.randint(b * b // 4 + 1, b * b // 4 + 20)   # negative discriminant
+            f = f * (T * T + b * T + c)
+    return f
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(4401)
+    cases = [_random_univariate(rng) for _ in range(150)]
+    cases += [T, T ** 3 * (2 * T - 3), T * (T * T + 1), MultiPoly.const(("t",), 5),
+              (3 * T - 1) ** 2 * (T * T - 2) * Fraction(1, 6)]
+    for f in cases:
+        expr = sympy.sympify(str(f), locals={"t": t})
+        want = sorted(Fraction(int(r.p), int(r.q))
+                      for r in sympy.Poly(expr, t).ground_roots() if r.is_Rational)
+        assert rational_roots(f, "t") == want, str(f)
+
+
+def test_rational_roots_needs_no_factorisation():
+    # the constant term is a product of two 19-digit primes
+    p, q = 10 ** 18 + 3, 10 ** 18 + 9
+
+    def timed_out(signum, frame):
+        raise TimeoutError("rational_roots took longer than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert rational_roots(T ** 2 + 3 * T + p * q, "t") == []
+        assert rational_roots((T - p) * (q * T + 1), "t") == [Fraction(-1, q), Fraction(p)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- intersection numbers against Fulton's algorithm ------------------------------
+
+
+def fulton_intersection(f, g):
+    """I_0(f, g) by Fulton's algorithm (Algebraic Curves, section 3.3); None
+    for a common component through the origin.  Test-only reference.
+
+    The algorithm terminates only when I_0 is finite; past the Bezout bound
+    deg f * deg g the curves share a component through the origin."""
+    origin = {"x": 0, "y": 0}
+    bezout = f.total_degree() * g.total_degree()
+    total = 0
+    while total <= bezout:
+        if f.is_zero() or g.is_zero():
+            return None
+        if f.evaluate(origin) != 0 or g.evaluate(origin) != 0:
+            return total
+        fx = f.substitute({"y": Fraction(0)})
+        gx = g.substitute({"y": Fraction(0)})
+        if fx.is_zero() and gx.is_zero():
+            return None
+        if fx.is_zero():
+            f, g, fx, gx = g, f, gx, fx
+        if gx.is_zero():
+            # g = y * g1 and I(f, y) is the order of f(x, 0) at 0
+            total += min(exp[0] for exp in fx.terms)
+            g = g.exact_div(y)
+            continue
+        if fx.degree_in("x") > gx.degree_in("x"):
+            f, g, fx, gx = g, f, gx, fx
+        r, s = fx.degree_in("x"), gx.degree_in("x")
+        g = g - (gx.coeff((s, 0)) / fx.coeff((r, 0))) * x ** (s - r) * f
+    return None
+
+
+def _random_through_origin(rng, low, high):
+    terms = {}
+    for a in range(high + 1):
+        for b in range(high + 1 - a):
+            if a + b >= low and rng.random() < 0.6:
+                terms[(a, b)] = Fraction(rng.randint(-4, 4))
+    f = MultiPoly(LOCAL_VARS, terms)
+    return f if not f.is_zero() else x ** low
+
+
+def intersection_cases():
+    rng = random.Random(4402)
+    cases = []
+    for _ in range(12):                      # generic pairs
+        cases.append((_random_through_origin(rng, 1, 3), _random_through_origin(rng, 1, 3)))
+    for _ in range(8):                       # a shared tangent line
+        tangent = rng.randint(-3, 3) * x + y
+        cases.append((tangent + _random_through_origin(rng, 2, 3),
+                      rng.randint(1, 3) * tangent + _random_through_origin(rng, 2, 4)))
+    for _ in range(8):                       # x and y factors
+        cases.append((x * _random_through_origin(rng, 1, 2), y ** 2 * (x + _random_through_origin(rng, 2, 2))))
+        cases.append((x * y * _random_through_origin(rng, 0, 2), _random_through_origin(rng, 1, 3)))
+    for _ in range(8):                       # both through (1, 0): the shear c = 0 fails
+        cases.append((x * (x - 1) * _random_through_origin(rng, 0, 1) + y * _random_through_origin(rng, 0, 2),
+                       x * (x - 1) * _random_through_origin(rng, 0, 1) + y * _random_through_origin(rng, 0, 2)))
+    for _ in range(6):                       # a common zero at x-infinity over y = 0
+        cases.append((y * x ** 3 + _random_through_origin(rng, 1, 2),
+                      rng.randint(1, 3) * y * x ** 3 + _random_through_origin(rng, 1, 2)))
+    for _ in range(6):                       # a common component away from the origin
+        h = x + 2 * y - 1 + _random_through_origin(rng, 2, 2)
+        cases.append((h * _random_through_origin(rng, 1, 2), h * _random_through_origin(rng, 1, 2)))
+    for _ in range(6):                       # a common component through the origin
+        h = _random_through_origin(rng, 1, 2)
+        cases.append((h * _random_through_origin(rng, 0, 2), h * _random_through_origin(rng, 1, 2)))
+    return cases
+
+
+def test_intersection_multiplicity_matches_fulton():
+    answers = []
+    for p, q in intersection_cases():
+        want = fulton_intersection(p, q)
+        assert intersection_multiplicity_origin(p, q) == want, (str(p), str(q))
+        answers.append(want)
+    assert None in answers and any(a is not None and a > 2 for a in answers)

@@ -157,7 +157,7 @@ def cmd_profile(args) -> int:
     if not poly.is_homogeneous():
         raise UserError("profile needs a homogeneous curve in x, y, z")
     hints = [_point(p) for p in args.point or []]
-    prof = curve_profile(HomForm.of(poly), hint_points=hints, seed=args.seed)
+    prof = curve_profile(HomForm.of(poly), hint_points=hints)
     _emit(prof.to_json())
     return 0
 
@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="octica", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=None,
-                        help="deterministic seed (default: OCTICA_SEED or built-in)")
+                        help="seed of the witness search (catalog --witnesses) and of the "
+                             "nonexistence sampling (verify); classify and profile draw "
+                             "nothing at random (default: OCTICA_SEED or built-in)")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit machine-readable errors on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        from .curveprofile import DEFAULT_SEED
+        from .verify import DEFAULT_SEED
 
         env = os.environ.get("OCTICA_SEED")
         args.seed = int(env) if env else DEFAULT_SEED

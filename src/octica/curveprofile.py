@@ -9,16 +9,22 @@ points never need individual classification.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point,
-                     random_projectivity)
+from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, invert3,
+                     normalize_point, transport_point)
 from .pointsearch import common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
 from .singclass import SingularityReport, classify, localize
 
-DEFAULT_SEED = 77003
+# Fixed coordinate changes tried, in order, when a resultant in the given
+# coordinates cannot certify a point set or a contact bound.
+PROJECTIVITIES = [[[Fraction(c) for c in row] for row in m] for m in (
+    ((3, -3, -1), (2, 0, 1), (0, 2, 0)),
+    ((3, 2, -1), (-1, -2, 1), (1, 4, 1)),
+    ((4, -3, 4), (0, 4, -3), (-1, -4, -2)),
+)]
 
 
 @dataclass
@@ -61,9 +67,9 @@ def _second_partials(f: MultiPoly) -> list[MultiPoly]:
     return [p for p in out if not p.is_zero()]
 
 
-def _mult3_points(f: MultiPoly, hints, seed: int) -> tuple[list[Point], bool]:
+def _mult3_points(f: MultiPoly, hints) -> tuple[list[Point], bool]:
     """Rational points of multiplicity >= 3 on the curve f, certified when
-    possible; retries with random coordinate changes to shed extraneous
+    possible; retries in the coordinates of PROJECTIVITIES to shed extraneous
     resultant factors."""
     system = _second_partials(f)
     if not system:
@@ -71,43 +77,31 @@ def _mult3_points(f: MultiPoly, hints, seed: int) -> tuple[list[Point], bool]:
     pts, certified = common_rational_zeros(system, hints=hints)
     if certified:
         return pts, True
-    rng = random.Random(seed)
-    for _ in range(3):
-        A = random_projectivity(rng)
+    for A in PROJECTIVITIES:
         moved = [apply_transport(p, A) for p in system]
-        moved_hints = []
-        from .linsys import invert3, transport_point
         inv = invert3(A)
-        for p in list(pts) + list(hints):
-            try:
-                moved_hints.append(transport_point(inv, normalize_point(p)))
-            except Exception:
-                continue
+        moved_hints = [transport_point(inv, p) for p in pts + hints]
         mpts, certified = common_rational_zeros(moved, hints=moved_hints)
-        back = []
-        for p in mpts:
-            back.append(transport_point(A, p))
-        merged = list(pts)
-        for p in back:
-            if p not in merged and all(evaluate_at(q, p) == 0 for q in system):
-                merged.append(p)
-        pts = merged
+        for p in (transport_point(A, q) for q in mpts):
+            if p not in pts and all(evaluate_at(q, p) == 0 for q in system):
+                pts.append(p)
         if certified:
             return pts, True
     return pts, False
 
 
-def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int, seed: int) -> bool:
+def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int) -> bool:
     """Certify that every local intersection multiplicity of the coprime
-    curves u, v is at most `bound`.  Sound: a resultant direction multiplicity
-    only ever overcounts the local intersection numbers on that direction."""
-    rng = random.Random(seed)
-    for attempt in range(4):
-        if attempt == 0:
-            w = (u, v)
-        else:
-            A = random_projectivity(rng)
-            w = (apply_transport(u, A), apply_transport(v, A))
+    curves u, v is at most `bound`.  Res_x projects from the centre A*(1:0:0).
+    Unless that centre lies on both curves, a root multiplicity of the
+    resultant is the sum of the local intersection numbers on its line, so it
+    only ever overcounts each of them.  A centre on both curves is skipped:
+    there the resultant can undercount."""
+    for A in [None] + PROJECTIVITIES:
+        centre = (1, 0, 0) if A is None else tuple(row[0] for row in A)
+        if evaluate_at(u, centre) == 0 and evaluate_at(v, centre) == 0:
+            continue
+        w = (u, v) if A is None else (apply_transport(u, A), apply_transport(v, A))
         try:
             r = resultant(w[0], w[1], "x")
         except ValueError:
@@ -119,7 +113,7 @@ def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int, seed: int) -> bool:
     return False
 
 
-def curve_profile(curve: HomForm, hint_points=(), seed: int = DEFAULT_SEED) -> CurveSingularityProfile:
+def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
     f = curve.poly
     if f.is_zero():
         raise ValueError("zero curve")
@@ -152,7 +146,7 @@ def curve_profile(curve: HomForm, hint_points=(), seed: int = DEFAULT_SEED) -> C
     else:
         carrier = u if u.total_degree() >= 3 else None
     if carrier is not None and carrier.total_degree() >= 3:
-        pts, certified = _mult3_points(carrier, hints, seed)
+        pts, certified = _mult3_points(carrier, hints)
     else:
         pts, certified = [], True
     profile.mult3_certified = certified
@@ -185,13 +179,13 @@ def curve_profile(curve: HomForm, hint_points=(), seed: int = DEFAULT_SEED) -> C
     profile.residual_milnor_budget = max((d_red - 1) ** 2 - total_mu, 0) if d_red >= 1 else 0
 
     if n > 0:
-        _conductor_checks(profile, u, v, seed, issues)
+        _conductor_checks(profile, u, v, issues)
 
     profile.half_log_canonical = certified and not issues
     return profile
 
 
-def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, seed: int, issues: list[str]) -> None:
+def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, issues: list[str]) -> None:
     if not poly_gcd(u, v).is_constant():
         issues.append("reduced and doubled parts share a component")
         return
@@ -212,5 +206,5 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, seed: int, issues: li
                 issues.append(f"doubled part has a non-nodal singularity at {p}")
     # contact between reduced and doubled part at most 2 everywhere
     if u.total_degree() >= 1:
-        if not _contact_at_most(u, v, 2, seed):
+        if not _contact_at_most(u, v, 2):
             issues.append("could not certify contact <= 2 between reduced and doubled parts")

@@ -291,17 +291,21 @@ def _full_rank(cols) -> bool:
     return det != 0
 
 
+def _variable_images(A: list[list[Fraction]]) -> list[MultiPoly]:
+    """The linear forms that x, y, z become under u -> A u."""
+    images = []
+    for row in A:
+        terms = {}
+        for j, a in enumerate(row):
+            if a != 0:
+                terms[tuple(1 if k == j else 0 for k in range(3))] = a
+        images.append(MultiPoly(PLANE_VARS, terms))
+    return images
+
+
 def apply_transport(f: MultiPoly, A: list[list[Fraction]]) -> MultiPoly:
     """f(A u) in the same frame."""
-    images = {}
-    for i, v in enumerate(PLANE_VARS):
-        terms = {}
-        for j, w in enumerate(PLANE_VARS):
-            if A[i][j] != 0:
-                exp = tuple(1 if k == j else 0 for k in range(3))
-                terms[exp] = A[i][j]
-        images[v] = MultiPoly(PLANE_VARS, terms)
-    return f.substitute(images)
+    return f.substitute(dict(zip(PLANE_VARS, _variable_images(A))))
 
 
 def random_projectivity(rng) -> list[list[Fraction]]:
@@ -335,14 +339,7 @@ def invert3(A: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def _monomial_images(degree: int, A: list[list[Fraction]]) -> list[MultiPoly]:
-    imgs_var = []
-    for i in range(3):
-        terms = {}
-        for j in range(3):
-            if A[i][j] != 0:
-                exp = tuple(1 if k == j else 0 for k in range(3))
-                terms[exp] = A[i][j]
-        imgs_var.append(MultiPoly(PLANE_VARS, terms))
+    imgs_var = _variable_images(A)
     pow_cache = [{0: MultiPoly.const(PLANE_VARS, 1)} for _ in range(3)]
 
     def power(i: int, e: int) -> MultiPoly:
@@ -375,9 +372,6 @@ def condition_rows(conditions: Sequence[AnchoredCondition], degree: int) -> list
         if isinstance(cond, ContainsCurve):
             rows.extend(_containment_rows(cond, degree, basis))
             continue
-        if isinstance(cond, LineContact):
-            rows.extend(_line_contact_rows(cond, degree, basis))
-            continue
         combos: list[dict[tuple[int, int, int], Fraction]] = []
         if isinstance(cond, MultiplicityAtPoint):
             A = transport_matrix(cond.point)
@@ -392,6 +386,11 @@ def condition_rows(conditions: Sequence[AnchoredCondition], degree: int) -> list
             A = transport_matrix(cond.point, cond.tangent)
             killed = _killed_nn(degree, cond.n, False)
             combos = _degenerate_direction_combos(degree, cond.n, cond.t0)
+        elif isinstance(cond, LineContact):
+            # the line pulls back to y = 0 and the point to (0:0:1), so the
+            # restriction's order at the point is read off the x^k z^(d-k) terms
+            A = transport_matrix(cond.point, cond.line)
+            killed = [(k, 0, degree - k) for k in range(min(cond.order, degree + 1))]
         elif isinstance(cond, BranchJetContact):
             A = transport_matrix(cond.point, cond.tangent)
             killed = []
@@ -484,45 +483,6 @@ def _degenerate_direction_combos(degree: int, n: int, t0: Fraction) -> list[dict
     row_val = {exp: t0 ** b for b, exp in cells}
     row_der = {exp: Fraction(b) * t0 ** (b - 1) for b, exp in cells if b >= 1}
     return [row_val, row_der]
-
-
-def _line_contact_rows(cond: LineContact, degree: int, basis) -> list[list[Fraction]]:
-    p = cond.point
-    l = line_coeffs(cond.line)
-    # a second point on the line, independent of p
-    i = next(i for i, a in enumerate(l) if a != 0)
-    q = None
-    for j in range(3):
-        if j == i:
-            continue
-        cand = [Fraction(0)] * 3
-        cand[j] = Fraction(1)
-        cand[i] = -l[j] / l[i]
-        cand = tuple(cand)
-        if _independent(p, cand):
-            q = cand
-            break
-    if q is None:
-        raise AnchorError("degenerate line-contact data")
-    # parametrise the line as s*q + t*p; the point sits at s = 0
-    frame = ("s", "t")
-    s = MultiPoly.var(frame, "s")
-    t = MultiPoly.var(frame, "t")
-    coords = {v: s * q[j] + t * p[j] for j, v in enumerate(PLANE_VARS)}
-    rows = []
-    restrictions = []
-    for exp in basis:
-        r = MultiPoly.const(frame, 1)
-        for v, e in zip(PLANE_VARS, exp):
-            for _ in range(e):
-                r = r * coords[v]
-        restrictions.append(r)
-    for k in range(cond.order):
-        row = [Fraction(0)] * len(basis)
-        for idx, r in enumerate(restrictions):
-            row[idx] = r.coeff((k, degree - k))
-        rows.append(row)
-    return rows
 
 
 def _containment_rows(cond: ContainsCurve, degree: int, basis) -> list[list[Fraction]]:

@@ -144,7 +144,3 @@ class PolyParser:
 
 def parse_poly(text: str, variables=("x", "y", "z")) -> MultiPoly:
     return PolyParser(variables).parse(text)
-
-
-def poly_to_text(poly: MultiPoly) -> str:
-    return str(poly)

@@ -73,10 +73,6 @@ def tangent_cone_structure(germ: LocalCurve | MultiPoly) -> list[tuple[int, Mult
     return squarefree_decomposition(tangent_cone(germ))
 
 
-def is_ordinary(germ: LocalCurve | MultiPoly) -> bool:
-    return all(k == 1 for k, _ in tangent_cone_structure(germ))
-
-
 # -- blow-up ------------------------------------------------------------------
 
 
@@ -434,10 +430,6 @@ def classify(germ: LocalCurve | MultiPoly) -> SingularityReport:
     return rep
 
 
-def _line_from_direction(piece: MultiPoly) -> MultiPoly:
-    return piece.primitive()
-
-
 def _direction_of_line(line: MultiPoly) -> tuple[Fraction, Fraction]:
     # line a*x + b*y: the tangent direction (dx : dy) it spans is (b : -a)
     a = line.coeff((1, 0))
@@ -459,7 +451,7 @@ def _classify_triple(f, mu, structure, point) -> SingularityReport:
             if mu < 5:
                 return _not_hlc(f"triple point with double direction but milnor {mu}", 3, mu, point)
             branches = 3 if mu % 2 == 0 else 2
-            return SingularityReport("D", (mu,), 3, mu, None, branches, _line_from_direction(doubles[0]), "", point)
+            return SingularityReport("D", (mu,), 3, mu, None, branches, doubles[0].primitive(), "", point)
         return _not_hlc("triple cone with unexpected double structure", 3, mu, point)
     if 3 in by_mult:
         line = by_mult[3][0]
@@ -467,7 +459,7 @@ def _classify_triple(f, mu, structure, point) -> SingularityReport:
             return _not_hlc("triple cone is a perfect cube of higher degree", 3, mu, point)
         if mu in (6, 7, 8):
             branches = {6: 1, 7: 2, 8: 1}[mu]
-            return SingularityReport("E", (mu,), 3, mu, None, branches, _line_from_direction(line), "", point)
+            return SingularityReport("E", (mu,), 3, mu, None, branches, line.primitive(), "", point)
         if mu < 10:
             return _not_hlc(f"triple line cone with milnor {mu}", 3, mu, point)
         strict = strict_germ_at_direction(f, _direction_of_line(line))
@@ -479,14 +471,14 @@ def _classify_triple(f, mu, structure, point) -> SingularityReport:
         if ordinary:
             if mu != 10:
                 return _not_hlc(f"ordinary infinitely-near triple with milnor {mu}", 3, mu, point)
-            return SingularityReport("J10", (), 3, 10, None, 3, _line_from_direction(line), "", point)
+            return SingularityReport("J10", (), 3, 10, None, 3, line.primitive(), "", point)
         if any(k >= 3 for k, _ in s_structure):
             return _not_hlc("infinitely-near triple degenerates to a triple direction", 3, mu, point)
         p = mu - 10
         if p < 1:
             return _not_hlc(f"degenerate infinitely-near triple with milnor {mu}", 3, mu, point)
         branches = 3 if (4 + p) % 2 == 0 else 2
-        return SingularityReport("J2", (p,), 3, mu, None, branches, _line_from_direction(line), "", point)
+        return SingularityReport("J2", (p,), 3, mu, None, branches, line.primitive(), "", point)
     return _not_hlc("unrecognised triple cone", 3, mu, point)
 
 
@@ -509,7 +501,7 @@ def _classify_quadruple(f, mu, structure, point) -> SingularityReport:
         k = p - 8
         branches = 2 + _branch_count_A(k)
         return SingularityReport("X", (p,), 4, mu, None, branches,
-                                 _line_from_direction(doubles[0]), "", point)
+                                 doubles[0].primitive(), "", point)
     if double_deg == 2:
         # two repeated directions: either two rational ones or a conjugate pair
         if len(doubles) == 1 and doubles[0].total_degree() == 2:

@@ -10,7 +10,7 @@ dimension pipelines; explicit witness curves live in `witnesses`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import poly_kernel_basis, rank as q_rank
@@ -409,15 +409,6 @@ class ConfigConic:
 
 
 ConfigElement = ConfigPoint | ConfigLine | ConfigFlag | ConfigConic
-
-
-@dataclass
-class Configuration:
-    elements: list
-    free_parameters: int = 0
-
-    def stabilizer_dimension(self) -> int:
-        return stabilizer_dimension(self.elements)
 
 
 def _conic_matrix(q: MultiPoly) -> list[list[Fraction]]:

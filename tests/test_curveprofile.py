@@ -1,4 +1,6 @@
 """Whole-curve profiles: location, classification, conductor checks."""
+import pytest
+
 from octica.curveprofile import curve_profile
 from octica.linsys import HomForm, PLANE_VARS
 from octica.poly import MultiPoly
@@ -65,6 +67,20 @@ def test_conductor_tangency_rejected():
     curve = HomForm((reduced * Y * Y * lines).primitive(), 8)
     prof = curve_profile(curve)
     assert not prof.half_log_canonical
+
+
+def _conic_contact_octic(x, y, z):
+    # the reduced conic x*y + z^2 meets the doubled conic x*y + z^2 + y*z
+    # with contact 3 at (1:0:0), where Res_x of the two projects from
+    return ((x * y + z ** 2) * (x ** 2 + 2 * y ** 2 + 3 * z ** 2 + x * z + y * z)
+            * (x * y + z ** 2 + y * z) ** 2).primitive()
+
+
+@pytest.mark.parametrize("coords", [(X, Y, Z), (Z, Y, X)], ids=["centre-on-both", "swapped"])
+def test_conductor_conic_contact_rejected(coords):
+    prof = curve_profile(HomForm(_conic_contact_octic(*coords), 8))
+    assert not prof.half_log_canonical
+    assert "could not certify contact <= 2 between reduced and doubled parts" in prof.issues
 
 
 def test_quadruple_line_cone_rejected():

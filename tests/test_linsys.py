@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from octica.linsys import (AnchorError, ConeDirection, HomForm, MultiplicityAtPoint,
+from octica.linsys import (AnchorError, ConeDirection, HomForm, LineContact, MultiplicityAtPoint,
                            NNPointWithTangent, PLANE_VARS,
                            condition_ideal_graded_piece,
                            divisibility_multiplicity, invert3, line_through,
@@ -83,6 +83,24 @@ def test_basis_members_satisfy_conditions():
                 for _ in range(j):
                     d = d.derivative("y")
                 assert d.evaluate({"x": p[0], "y": p[1], "z": p[2]}) == 0
+
+
+def test_line_contact_restriction_vanishes_to_the_order():
+    # independent oracle: restrict each basis form to the line as s -> p + s*q
+    # and read the order of vanishing at s = 0; each order up to degree + 1
+    # is one more independent condition
+    rng = random.Random(11)
+    s = MultiPoly.var(("s",), "s")
+    for _ in range(12):
+        p = normalize_point([rng.randint(-3, 3) for _ in range(2)] + [rng.randint(1, 3)])
+        q = normalize_point([rng.randint(-3, 3) for _ in range(2)] + [rng.randint(-3, 0)])
+        degree = rng.randint(2, 6)
+        order = rng.randint(1, degree + 2)
+        system = condition_ideal_graded_piece([LineContact(p, line_through(p, q), order)], degree)
+        assert system.dim_forms == comb(degree + 2, 2) - min(order, degree + 1), (p, q, degree, order)
+        for b in system.basis:
+            restricted = b.poly.substitute({v: p[j] + q[j] * s for j, v in enumerate(PLANE_VARS)}, ("s",))
+            assert all(restricted.coeff((k,)) == 0 for k in range(order)), (p, q, degree, order)
 
 
 def test_transport_invariance_of_dimensions():

@@ -113,6 +113,12 @@ def load_constraints(path: str) -> tuple[int, list]:
     return degree, [parse_condition(c) for c in data["conditions"]]
 
 
+def _seed(args) -> dict:
+    """The --seed / OCTICA_SEED keyword, or none, so each library function
+    falls back to its own default seed."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
 def _emit(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
@@ -215,7 +221,7 @@ def cmd_catalog(args) -> int:
     for rec in records:
         witness_poly = None
         if args.witnesses and rec.witness_key:
-            witness_poly = str(build_witness(rec.witness_key, seed=args.seed).curve.poly)
+            witness_poly = str(build_witness(rec.witness_key, **_seed(args)).curve.poly)
         rows.append(rec.to_json(witness_poly))
     if args.format == "json":
         _emit({"totals": totals, "strata": rows})
@@ -255,7 +261,7 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in suites:
             raise UserError(f"unknown lemma id {name!r}; choose from {sorted(suites)}")
-    results = {name: suites[name](args.seed) for name in names}
+    results = {name: suites[name](**_seed(args)) for name in names}
     _emit({name: r.to_json() for name, r in results.items()})
     if not all(r.all_passed for r in results.values()):
         return 2
@@ -268,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed of the witness search (catalog --witnesses) and of the "
                              "nonexistence sampling (verify); classify and profile draw "
-                             "nothing at random (default: OCTICA_SEED or built-in)")
+                             "nothing at random (default: OCTICA_SEED, else each command's "
+                             "built-in seed: 90101 for witnesses, 77003 for verify)")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit machine-readable errors on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,11 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        from .verify import DEFAULT_SEED
-
-        env = os.environ.get("OCTICA_SEED")
-        args.seed = int(env) if env else DEFAULT_SEED
+    if args.seed is None and os.environ.get("OCTICA_SEED"):
+        args.seed = int(os.environ["OCTICA_SEED"])
     try:
         return args.func(args)
     except UserError as e:

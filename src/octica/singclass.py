@@ -8,7 +8,11 @@ J10 / J_{2,p}, and the six non-isolated types along a doubled component), or
 none of these.  Milnor numbers are computed exactly as the intersection
 multiplicity of the two partial derivatives at the origin, by the order of a
 resultant in sheared coordinates, at the first shear of a fixed sweep under
-which the resultant order provably equals the intersection number.
+which the resultant order provably equals the intersection number.  The
+classifier computes mu once per germ: an infinite mu means a repeated
+component through the point and selects the non-isolated types.  A gcd of
+the two partials is taken only as a fallback, when the resultant vanishes or
+the first shears all fail.
 """
 from __future__ import annotations
 
@@ -158,19 +162,22 @@ def _order_along_axis(f: MultiPoly, axis_var: str) -> int | None:
 
 
 def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
-    """I_0(p, q) for bivariate polynomials; None encodes infinity."""
+    """I_0(p, q) for bivariate polynomials; None encodes infinity.
+
+    Once the factors x and y are split off, I_0 is the order found by
+    `_resultant_order`, with no gcd, whenever Res_x is nonzero: that rules out
+    a common factor of positive degree in x, and a common factor h(y) misses
+    the origin (else both restrictions to y = 0 vanish), so its power in Res_x
+    adds 0 to ord_y.  A common factor off the origin such as x - 1 fails the
+    checks at every shear, so after four failed shears, or at a zero Res_x,
+    `poly_gcd` removes the common factor and the sweep goes on.
+    """
     p = p.rename(LOCAL_VARS)
     q = q.rename(LOCAL_VARS)
     if p.is_zero() or q.is_zero():
         return None
     if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
         return 0
-    g = poly_gcd(p, q)
-    if g.total_degree() > 0 and g.evaluate({"x": 0, "y": 0}) == 0:
-        return None
-    if g.total_degree() > 0:
-        p = p.exact_div(g)
-        q = q.exact_div(g)
     total = 0
     for name, other in (("x", "y"), ("y", "x")):
         k, p = _strip_var(p, name)
@@ -187,15 +194,32 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
             total += k * o
     if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
         return total
+    shears = (Fraction((k + 1) // 2 * (1 if k % 2 else -1)) for k in itertools.count())
+    order = _resultant_order(p, q, itertools.islice(shears, 4))
+    if order is None:
+        g = poly_gcd(p, q)
+        if g.total_degree() > 0:
+            if g.evaluate({"x": 0, "y": 0}) == 0:
+                return None
+            p = p.exact_div(g)
+            q = q.exact_div(g)
+        order = _resultant_order(p, q, shears)
+    return total + order
+
+
+def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
+    """ord_y Res_x at the first shear y -> y + c*x, c in `shears`, that passes
+    the checks below; None if none passes or Res_x vanishes there.
+
+    Past the checks the origin is the only common zero on the line y = 0,
+    with none at x-infinity over it, so for coprime p and q the order is
+    exactly I_0.  Only finitely many c fail them then, since coprime p and q
+    have finitely many common zeros, linear factors and zeros of their
+    top-degree forms.
+    """
     x = MultiPoly.var(LOCAL_VARS, "x")
     y = MultiPoly.var(LOCAL_VARS, "y")
-    # Sweep the shears y -> y + c*x, c = 0, 1, -1, 2, -2, ...  Once the checks
-    # below pass, the origin is the only common zero on the line y = 0, with
-    # none at x-infinity over it, so ord_y Res_x is exactly I_0.  Only finitely
-    # many c fail them, since the coprime p and q have finitely many common
-    # zeros, linear factors and zeros of their top-degree forms.
-    for k in itertools.count():
-        c = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
+    for c in shears:
         pc = p.substitute({"y": y + c * x})
         qc = q.substitute({"y": y + c * x})
         # only the origin may be a common zero on the sweep line y = 0
@@ -211,7 +235,10 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
         if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
             continue
         res = resultant(pc, qc, "x").rename(("y",))
-        return total + min(exp[0] for exp in res.terms)
+        if res.is_zero():
+            return None
+        return min(exp[0] for exp in res.terms)
+    return None
 
 
 def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
@@ -224,15 +251,17 @@ def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
 
 
 def milnor_number(germ: LocalCurve | MultiPoly) -> int | None:
-    """Milnor number at the origin; None encodes a non-isolated germ."""
+    """Milnor number at the origin; None encodes a non-isolated germ.
+
+    Over Q, mu = I_0(f_x, f_y) is infinite exactly when a repeated component
+    of f passes through the origin, so no squarefree decomposition is needed.
+    """
     f = germ.f_local if isinstance(germ, LocalCurve) else germ
     f = f.rename(LOCAL_VARS)
     if f.is_zero():
         return None
     if f.evaluate({"x": 0, "y": 0}) != 0:
         raise ValueError("germ does not pass through the origin")
-    if not is_isolated(f):
-        return None
     if multiplicity(f) == 1:
         return 0
     return intersection_multiplicity_origin(f.derivative("x"), f.derivative("y"))
@@ -405,7 +434,8 @@ def classify(germ: LocalCurve | MultiPoly) -> SingularityReport:
         raise ValueError("zero germ")
     if f.evaluate({"x": 0, "y": 0}) != 0:
         raise ValueError("germ does not pass through the origin")
-    if not is_isolated(f):
+    mu = milnor_number(f)
+    if mu is None:
         rep = _classify_nonisolated(f)
         rep.point = point
         _globalise_tangent(rep, transport)
@@ -413,8 +443,6 @@ def classify(germ: LocalCurve | MultiPoly) -> SingularityReport:
     m = multiplicity(f)
     if m == 1:
         return SingularityReport("Smooth", (), 1, 0, None, 1, None, "", point)
-    mu = milnor_number(f)
-    assert mu is not None
     cone = tangent_cone(f)
     structure = squarefree_decomposition(cone)
     rep: SingularityReport
@@ -601,7 +629,7 @@ def _classify_nonisolated(f: MultiPoly) -> SingularityReport:
     if mv == 2:
         if not u.is_constant():
             return _not_hlc("reduced branch through a singular point of the doubled component", m_all)
-        if not is_isolated(v) or milnor_number(v) != 1:
+        if milnor_number(v) != 1:
             return _not_hlc("doubled component with a singularity worse than a node", m_all)
         return SingularityReport("Y_inf_inf", (), m_all, None, 4, None, None, "")
     return _not_hlc("doubled component of multiplicity >= 3", m_all)

@@ -124,6 +124,36 @@ def test_classify_ignores_the_seed(capsys):
     assert '"type": "X11"' in outputs[0] and '"type": "A1"' in outputs[0]
 
 
+def test_catalog_witnesses_use_the_library_seed(monkeypatch):
+    # without --seed, `catalog --witnesses` builds the octics `build_witness`
+    # returns by default, at WITNESS_SEED; an explicit seed is passed through
+    import inspect
+    from types import SimpleNamespace
+
+    from octica import witnesses
+
+    signature = inspect.signature(witnesses.build_witness)
+    seeds = []
+
+    def fake_build_witness(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seeds.append(bound.arguments["seed"])
+        return SimpleNamespace(curve=SimpleNamespace(poly="x^8"))
+
+    monkeypatch.setattr(witnesses, "build_witness", fake_build_witness)
+    monkeypatch.delenv("OCTICA_SEED", raising=False)
+    runs = [([], witnesses.WITNESS_SEED), (["--seed", "5"], 5)]
+    for options, want in runs:
+        seeds.clear()
+        assert main(options + ["catalog", "--witnesses", "--format", "json"]) == 0
+        assert seeds and set(seeds) == {want}
+    monkeypatch.setenv("OCTICA_SEED", "7")
+    seeds.clear()
+    assert main(["catalog", "--witnesses", "--format", "json"]) == 0
+    assert seeds and set(seeds) == {7}
+
+
 def test_user_errors_exit_1(capsys, tmp_path):
     assert main(["classify", "--curve", "x +* y"]) == 1
     err = capsys.readouterr().err

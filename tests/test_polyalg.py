@@ -140,6 +140,81 @@ def test_gcd_and_squarefree():
     assert [(m, str(p)) for m, p in dec2] == [(2, "x^2 + 1")]
 
 
+def random_form(rng, frame, used, degree):
+    """A form of the degree in the variables `used`, in the given frame."""
+    terms = {}
+    for exp in monomial_basis(len(used), degree):
+        if rng.random() < 0.6:
+            full = [0] * len(frame)
+            for v, e in zip(used, exp):
+                full[frame.index(v)] = e
+            terms[tuple(full)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return MultiPoly(frame, terms) or MultiPoly.var(frame, used[0]) ** degree
+
+
+def form_gcd_cases():
+    """Binary and ternary gcd pairs: planted common factors, powers of the
+    last variable on one or both sides, constants, and polynomials that
+    become forms only once the last variable is set to 1."""
+    rng = random.Random(5101)
+    cases = []
+    for frame, used in ((("x", "y"), ("x", "y")), (V, ("x", "y")), (V, V)):
+        last = MultiPoly.var(frame, used[-1])
+        for _ in range(8):
+            h = random_form(rng, frame, used, rng.randint(0, 2))
+            f = h * random_form(rng, frame, used, rng.randint(0, 3))
+            g = h * random_form(rng, frame, used, rng.randint(0, 3))
+            side = rng.randrange(4)
+            if side in (1, 3):
+                f = f * last ** rng.randint(1, 3)
+            if side in (2, 3):
+                g = g * last ** rng.randint(1, 3)
+            cases.append((f, g))
+            cases.append((f * f * h, g * h))
+        cases.append((MultiPoly.const(frame, 3), random_form(rng, frame, used, 3)))
+        cases.append((last ** 2 * random_form(rng, frame, used, 2), last ** 3))
+        one, lower = MultiPoly.const(frame, 1), used[:-1]
+        h = random_form(rng, frame, lower, 2)
+        cases.append((h * random_form(rng, frame, lower, 1) * (last + one),
+                      h * random_form(rng, frame, lower, 2) * (last * last - one)))
+    return cases
+
+
+def test_form_gcd_and_squarefree_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sympy.Poly(sympy.sympify(str(p), locals=dict(zip(V, gens))), *gens, domain="QQ")
+
+    for f, g in form_gcd_cases():
+        d = poly_gcd(f, g)
+        assert d == d.primitive()
+        assert to_sympy(d).monic() == sympy.gcd(to_sympy(f), to_sympy(g)).monic(), (str(f), str(g))
+        for p in (f, g):
+            if p.total_degree() <= 0:
+                continue
+            ours = {m: to_sympy(piece).monic() for m, piece in squarefree_decomposition(p)}
+            theirs = {m: sympy.Poly(piece, *gens, domain="QQ").monic()
+                      for piece, m in sympy.sqf_list(to_sympy(p).as_expr(), *gens)[1]}
+            assert ours == theirs, str(p)
+
+
+def test_form_gcd_golden_output():
+    # printed by poly_gcd and squarefree_decomposition before forms were
+    # reduced one variable down; the normal form must not move
+    x, y = MultiPoly.var(("x", "y"), "x"), MultiPoly.var(("x", "y"), "y")
+    binary = poly_gcd((3 * x - 2 * y) ** 2 * (x + y) * y ** 2, (3 * x - 2 * y) * (x - 5 * y) * y ** 3)
+    assert str(binary) == "3*x*y^2 - 2*y^3"
+    f = (X * Y - Z * Z) * (2 * X + 3 * Z) ** 2 * Z
+    g = (X * Y - Z * Z) * (2 * X + 3 * Z) * (Y - X) * Z ** 2
+    assert str(poly_gcd(f, g)) == "2*x^2*y*z + 3*x*y*z^2 - 2*x*z^3 - 3*z^4"
+    assert str(poly_gcd(-7 * Z ** 3, (X - Y) * Z ** 2)) == "z^2"
+    octic = (X * X + Y * Z) ** 2 * (X - 2 * Y + Z) ** 3 * (Y * Z - 2 * X * Z + X * Y) * Z
+    assert [(m, str(p)) for m, p in squarefree_decomposition(octic)] == [
+        (1, "x*y*z - 2*x*z^2 + y*z^2"), (2, "x^2 + y*z"), (3, "x - 2*y + z")]
+
+
 def test_kernel_basis_examples():
     one, zero = Fraction(1), Fraction(0)
     identity = [[one if i == j else zero for j in range(3)] for i in range(3)]

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
-                     MultiplicityAtPoint, NNDegenerateAt, NNPointWithTangent,
+                     MultiplicityAtPoint, NNPointWithTangent,
                      condition_ideal_graded_piece)
 from .parsing import ParseError, parse_poly
 from .poly import MultiPoly
@@ -83,11 +83,11 @@ def parse_condition(entry: dict):
         if kind == "multiplicity":
             return MultiplicityAtPoint(_point(entry["point"]), int(entry["order"]))
         if kind == "nn_point":
+            direction = Fraction(0) if entry.get("degenerate", False) else None
             if "direction" in entry:
-                return NNDegenerateAt(_point(entry["point"]), _form(entry["tangent"], 1),
-                                      int(entry["order"]), _fraction(entry["direction"]))
+                direction = _fraction(entry["direction"])
             return NNPointWithTangent(_point(entry["point"]), _form(entry["tangent"], 1),
-                                      int(entry["order"]), bool(entry.get("degenerate", False)))
+                                      int(entry["order"]), direction)
         if kind == "cone_direction":
             return ConeDirection(_point(entry["point"]), _form(entry["tangent"], 1),
                                  int(entry["multiplicity"]), int(entry.get("power", 2)))

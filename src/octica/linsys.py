@@ -1,20 +1,22 @@
 """Linear systems of plane curves with imposed singularity conditions.
 
 Conditions are anchored at rational points and realised as exact linear
-constraints on the coefficient vector of degree-d forms in x, y, z:
+constraints on the coefficient vector of degree-d forms in x, y, z.  There
+are five kinds:
 
   * prescribed multiplicity at a point (all low-order jets vanish),
   * an n-fold point with an infinitely-near n-fold point along a prescribed
     tangent line (membership in the graded pieces of (s^2, l)^n after a
-    projective change of coordinates, the pattern a + 2b >= 2n),
-  * the degenerate refinement of the previous condition, where the repeated
-    direction of the blown-up tangent cone is pinned to the tangent line,
+    projective change of coordinates, the pattern a + 2b >= 2n), optionally
+    with the repeated direction of the blown-up tangent cone pinned,
   * a repeated linear direction inside the tangent cone (degenerate
-    multiple points), and
-  * divisibility by a fixed form.
+    multiple points),
+  * divisibility by a fixed form, and
+  * contact to a given order with a line, or with a parabola jet tangent to it.
 
-All arithmetic is exact; bases are echelonised against the canonical
-monomial order so output is reproducible.
+All but divisibility are a transported frame plus linear combinations of the
+local coefficients.  All arithmetic is exact; bases are echelonised against
+the canonical monomial order so output is reproducible.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .linalg import kernel_basis, rref
 from .poly import MultiPoly, monomial_basis
 
 PLANE_VARS = ("x", "y", "z")
+_ZERO = Fraction(0)
 
 
 class AnchorError(ValueError):
@@ -117,18 +120,21 @@ class MultiplicityAtPoint:
 class NNPointWithTangent:
     """n-fold point with infinitely-near n-fold point along the given tangent.
 
-    With `degenerate=True` the repeated direction of the blown-up cone is
-    additionally pinned to the tangent line itself (the second-order datum at
-    its special value); two more linear conditions.
+    With a `direction` t0 the blown-up cone additionally has a double root at
+    t0, the coordinate of the repeated infinitely-near direction along the
+    exceptional line (0 being the tangent line itself); two more linear
+    conditions.
     """
 
     point: Point
     tangent: MultiPoly
     n: int
-    degenerate: bool = False
+    direction: Fraction | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "point", normalize_point(self.point))
+        if self.direction is not None:
+            object.__setattr__(self, "direction", Fraction(self.direction))
         if self.n < 2:
             raise AnchorError("infinitely-near condition needs n >= 2")
         if evaluate_at(self.tangent, self.point) != 0:
@@ -165,64 +171,29 @@ class ContainsCurve:
 
 
 @dataclass(frozen=True)
-class NNDegenerateAt:
-    """[n;n]-point whose blown-up cone has a double root at the prescribed
-    direction value t0 (the coordinate of the repeated infinitely-near
-    direction along the exceptional line, 0 being the tangent line itself)."""
-
-    point: Point
-    tangent: MultiPoly
-    n: int
-    t0: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", normalize_point(self.point))
-        object.__setattr__(self, "t0", Fraction(self.t0))
-        if self.n < 2:
-            raise AnchorError("infinitely-near condition needs n >= 2")
-        if evaluate_at(self.tangent, self.point) != 0:
-            raise AnchorError("tangent line does not pass through the anchor point")
-
-
-@dataclass(frozen=True)
 class LineContact:
-    """The restriction of the form to the line vanishes to order >= `order`
-    at the point (intersection multiplicity with the line at the point)."""
+    """The form vanishes to order >= `order` along the parabola jet
+    y = kappa*x^2 in the frame transported to the point and the line.  With
+    kappa = 0 this is the intersection multiplicity with the line at the
+    point; otherwise, for a smooth germ, it pins tangency and the branch
+    curvature."""
 
     point: Point
     line: MultiPoly
     order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", normalize_point(self.point))
-        if self.order < 1:
-            raise AnchorError("contact order must be at least 1")
-        if evaluate_at(self.line, self.point) != 0:
-            raise AnchorError("contact line does not pass through the anchor point")
-
-
-@dataclass(frozen=True)
-class BranchJetContact:
-    """The form vanishes to order >= `order` along the parabola jet
-    y = kappa*x^2 in the frame transported to the point and tangent: for a
-    smooth germ this pins tangency and the branch curvature."""
-
-    point: Point
-    tangent: MultiPoly
-    kappa: Fraction
-    order: int = 3
+    kappa: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "point", normalize_point(self.point))
         object.__setattr__(self, "kappa", Fraction(self.kappa))
         if self.order < 1:
             raise AnchorError("contact order must be at least 1")
-        if evaluate_at(self.tangent, self.point) != 0:
-            raise AnchorError("tangent line does not pass through the anchor point")
+        if evaluate_at(self.line, self.point) != 0:
+            raise AnchorError("contact line does not pass through the anchor point")
 
 
 AnchoredCondition = (MultiplicityAtPoint | NNPointWithTangent | ConeDirection |
-                     ContainsCurve | NNDegenerateAt | LineContact | BranchJetContact)
+                     ContainsCurve | LineContact)
 
 
 # -- transports -------------------------------------------------------------
@@ -364,57 +335,48 @@ def _monomial_images(degree: int, A: list[list[Fraction]]) -> list[MultiPoly]:
 
 
 def condition_rows(conditions: Sequence[AnchoredCondition], degree: int) -> list[list[Fraction]]:
-    """Linear constraint rows over the canonical degree-d monomial basis."""
+    """Linear constraint rows over the canonical degree-d monomial basis.
+
+    Each condition but containment is a frame A and a list of combinations
+    {local exponent: weight}; its rows are those combinations of the
+    coefficients of the transported monomials.  A killed local monomial is
+    the combination {exp: 1}.  No combination is empty or has a zero weight.
+    """
     basis = monomial_basis(3, degree)
-    col_index = {exp: i for i, exp in enumerate(basis)}
     rows: list[list[Fraction]] = []
     for cond in conditions:
         if isinstance(cond, ContainsCurve):
             rows.extend(_containment_rows(cond, degree, basis))
             continue
-        combos: list[dict[tuple[int, int, int], Fraction]] = []
+        killed, combos = [], []
         if isinstance(cond, MultiplicityAtPoint):
             A = transport_matrix(cond.point)
             killed = _killed_multiplicity(degree, cond.m)
         elif isinstance(cond, NNPointWithTangent):
             A = transport_matrix(cond.point, cond.tangent)
-            killed = _killed_nn(degree, cond.n, cond.degenerate)
+            killed = _killed_nn(degree, cond.n)
+            if cond.direction is not None:
+                combos = _degenerate_direction_combos(degree, cond.n, cond.direction)
         elif isinstance(cond, ConeDirection):
             A = transport_matrix(cond.point, cond.tangent)
             killed = _killed_multiplicity(degree, cond.m) + _killed_cone(degree, cond.m, cond.k)
-        elif isinstance(cond, NNDegenerateAt):
-            A = transport_matrix(cond.point, cond.tangent)
-            killed = _killed_nn(degree, cond.n, False)
-            combos = _degenerate_direction_combos(degree, cond.n, cond.t0)
         elif isinstance(cond, LineContact):
-            # the line pulls back to y = 0 and the point to (0:0:1), so the
-            # restriction's order at the point is read off the x^k z^(d-k) terms
+            # the line pulls back to y = 0 and the point to (0:0:1)
             A = transport_matrix(cond.point, cond.line)
-            killed = [(k, 0, degree - k) for k in range(min(cond.order, degree + 1))]
-        elif isinstance(cond, BranchJetContact):
-            A = transport_matrix(cond.point, cond.tangent)
-            killed = []
             combos = _branch_jet_combos(degree, cond.kappa, cond.order)
         else:
             raise TypeError(f"unknown condition {cond!r}")
         images = _monomial_images(degree, A)
-        for kexp in killed:
-            row = [Fraction(0)] * len(basis)
-            for i, img in enumerate(images):
-                c = img.terms.get(kexp)
-                if c:
-                    row[i] = c
-            rows.append(row)
-        for combo in combos:
-            row = [Fraction(0)] * len(basis)
-            for i, img in enumerate(images):
-                total = Fraction(0)
+        for combo in [{exp: 1} for exp in killed] + combos:
+            row = []
+            for img in images:
+                total = _ZERO
                 for kexp, w in combo.items():
                     c = img.terms.get(kexp)
                     if c:
-                        total += w * c
-                if total:
-                    row[i] = total
+                        c = c if w == 1 else w * c
+                        total = total + c if total else c
+                row.append(total)
             rows.append(row)
     return rows
 
@@ -429,17 +391,12 @@ def _killed_multiplicity(degree: int, m: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _killed_nn(degree: int, n: int, degenerate: bool) -> list[tuple[int, int, int]]:
+def _killed_nn(degree: int, n: int) -> list[tuple[int, int, int]]:
     out = []
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             if a + 2 * b < 2 * n:
                 out.append((a, b, degree - a - b))
-    if degenerate:
-        for (a, b) in ((2 * n, 0), (2 * n - 2, 1)):
-            c = degree - a - b
-            if c >= 0:
-                out.append((a, b, c))
     return out
 
 
@@ -459,30 +416,31 @@ def _branch_jet_combos(degree: int, kappa: Fraction, order: int) -> list[dict]:
     """Rows forcing vanishing along y = kappa*x^2 to the given order: the local
     monomial x^a y^b contributes kappa^b to the x^(a+2b) jet coefficient."""
     combos = []
-    for j in range(order):
-        combo: dict[tuple[int, int, int], Fraction] = {}
+    for j in range(min(order, 2 * degree + 1)):
+        combo = {}
         for b in range(j // 2 + 1):
-            a = j - 2 * b
-            c = degree - a - b
-            if c >= 0:
-                combo[(a, b, c)] = kappa ** b
+            c = degree - j + b
+            if c >= 0 and (w := kappa ** b):
+                combo[(j - 2 * b, b, c)] = w
         if combo:
             combos.append(combo)
     return combos
 
 
-def _degenerate_direction_combos(degree: int, n: int, t0: Fraction) -> list[dict]:
-    """Two linear combinations of blown-up cone coefficients forcing a double
-    root of the cone at the direction value t0."""
-    cells = []
+def _degenerate_direction_combos(degree: int, n: int, t0) -> list[dict]:
+    """Linear combinations of blown-up cone coefficients forcing a double root
+    of the cone at the direction value t0 (a rational, or a polynomial in a
+    parameter): the value and the derivative of sum_b coeff_b * t^b at t0."""
+    val, der = {}, {}
     for b in range(n + 1):
-        a = 2 * n - 2 * b
-        c = degree - a - b
-        if c >= 0:
-            cells.append((b, (a, b, c)))
-    row_val = {exp: t0 ** b for b, exp in cells}
-    row_der = {exp: Fraction(b) * t0 ** (b - 1) for b, exp in cells if b >= 1}
-    return [row_val, row_der]
+        exp = (2 * n - 2 * b, b, degree - 2 * n + b)
+        if exp[2] < 0:
+            continue
+        if w := t0 ** b:
+            val[exp] = w
+        if b and (w := b * t0 ** (b - 1)):
+            der[exp] = w
+    return [combo for combo in (val, der) if combo]
 
 
 def _containment_rows(cond: ContainsCurve, degree: int, basis) -> list[list[Fraction]]:
@@ -510,20 +468,6 @@ def _containment_rows(cond: ContainsCurve, degree: int, basis) -> list[list[Frac
 
 
 @dataclass
-class ConditionSystem:
-    degree: int
-    matrix: list[list[Fraction]]
-
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(monomial_basis(3, self.degree))
-
-
-@dataclass
 class LinearSystem:
     degree: int
     basis: list[HomForm] = field(default_factory=list)
@@ -535,10 +479,6 @@ class LinearSystem:
     @property
     def dim_projective(self) -> int:
         return self.dim_forms - 1
-
-
-def build_condition_system(conditions: Sequence[AnchoredCondition], degree: int) -> ConditionSystem:
-    return ConditionSystem(degree, condition_rows(conditions, degree))
 
 
 def _echelon_forms(vectors: list[list[Fraction]], degree: int) -> list[HomForm]:
@@ -557,8 +497,7 @@ def condition_ideal_graded_piece(conditions: Sequence[AnchoredCondition], degree
     """Exact basis of the degree-d forms satisfying every condition."""
     if degree > 12:
         raise AnchorError("degree out of supported range")
-    system = build_condition_system(conditions, degree)
-    ker = kernel_basis(system.matrix, ncols=system.cols)
+    ker = kernel_basis(condition_rows(conditions, degree), ncols=len(monomial_basis(3, degree)))
     return LinearSystem(degree, _echelon_forms(ker, degree))
 
 
@@ -607,7 +546,7 @@ def nn_point_system(point=(0, 0, 1), tangent: MultiPoly | None = None, n: int = 
     if tangent is None:
         tangent = MultiPoly.var(PLANE_VARS, "y")
     return condition_ideal_graded_piece(
-        [NNPointWithTangent(point, tangent, n, degenerate)], degree)
+        [NNPointWithTangent(point, tangent, n, Fraction(0) if degenerate else None)], degree)
 
 
 def sextic_quadruple_system() -> LinearSystem:
@@ -633,12 +572,7 @@ def conic_pencil_through_two_flags(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None)
     t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
     t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
     return condition_ideal_graded_piece(
-        [_flag_condition(p1, t1), _flag_condition(p2, t2)], 2)
-
-
-def _flag_condition(point, tangent) -> "ConeDirection":
-    # smooth point with prescribed tangent: multiplicity 1, cone contains the tangent
-    return ConeDirection(point, tangent, 1, 1)
+        [ConeDirection(p1, t1, 1, 1), ConeDirection(p2, t2, 1, 1)], 2)
 
 
 def two_33_sextic_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None) -> LinearSystem:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
 from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
-                     common_divisibility, condition_rows, line_coeffs,
-                     normalize_point)
+                     _degenerate_direction_combos, common_divisibility, condition_rows,
+                     line_coeffs, normalize_point)
 from .poly import MultiPoly, monomial_basis, poly_gcd, squarefree_part
 
 MAX_PARAMS = 4
@@ -107,22 +106,13 @@ def degenerate_nn_direction_analysis(n: int = 3, degree: int = 6, param: str = "
     value of s is the degenerate linear system with that second-order datum.
     """
     frame_p = (param,)
-    s = MultiPoly.var(frame_p, param)
-    one = MultiPoly.const(frame_p, 1)
     zero = MultiPoly.zero(frame_p)
     exps = [e for e in monomial_basis(3, degree) if e[0] + 2 * e[1] >= 2 * n]
     fam_frame = PLANE_VARS + (param,)
     basis = [MultiPoly.monomial(fam_frame, e + (0,)) for e in exps]
     family = UniversalFamily(degree, (param,), basis)
-    row1, row2 = [], []
-    for (a, b, c) in exps:
-        if a + 2 * b == 2 * n:
-            row1.append(one * s ** b)
-            row2.append(zero if b == 0 else s ** (b - 1) * b)
-        else:
-            row1.append(zero)
-            row2.append(zero)
-    return family, ParamMatrix([row1, row2], frame_p)
+    combos = _degenerate_direction_combos(degree, n, MultiPoly.var(frame_p, param))
+    return family, ParamMatrix([[combo.get(e, zero) for e in exps] for combo in combos], frame_p)
 
 
 def build_condition_matrix(family: UniversalFamily, extra_conditions: Sequence[AnchoredCondition]) -> ParamMatrix:
@@ -167,34 +157,15 @@ class RankDropLocus:
         """True when the rank never drops (the minors generate the unit ideal)."""
         return self.radical.is_constant()
 
-    def is_exactly(self, gen: MultiPoly) -> bool:
-        return self.radical == squarefree_part(gen.rename(self.radical.vars))
-
 
 def rank_drop_locus(M: ParamMatrix) -> RankDropLocus:
+    """Where a matrix in one parameter drops below its generic rank."""
+    if len(M.params) != 1:
+        raise ValueError("a rank-drop locus is computed for one parameter only")
     r = generic_rank(M)
     if r == 0:
         raise ValueError("zero matrix has no rank-drop locus")
-    if len(M.params) == 1:
-        g = determinantal_divisor(M.entries, r, M.params[0])
-    else:
-        from math import comb
-        if comb(M.rows, r) * comb(M.cols, r) > 20000:
-            raise NotImplementedError("too many minors for a multi-parameter rank-drop locus")
-        from .poly import det_bareiss
-        g = None
-        for rows_sel in combinations(range(M.rows), r):
-            for cols_sel in combinations(range(M.cols), r):
-                minor = det_bareiss([[M.entries[i][j] for j in cols_sel] for i in rows_sel])
-                if minor.is_zero():
-                    continue
-                g = minor if g is None else poly_gcd(g, minor)
-                if g.is_constant():
-                    break
-            if g is not None and g.is_constant():
-                break
-        if g is None:
-            g = MultiPoly.zero(M.entries[0][0].vars)
+    g = determinantal_divisor(M.entries, r, M.params[0])
     if g.is_zero():
         raise ValueError("matrix does not attain its generic rank")
     radical = squarefree_part(g) if not g.is_constant() else MultiPoly.const(g.vars, 1)

@@ -385,9 +385,6 @@ class MultiPoly:
             raise ValueError("division is not exact")
         return q
 
-    def __floordiv__(self, divisor: "MultiPoly") -> "MultiPoly":
-        return self.exact_div(divisor)
-
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:

@@ -390,10 +390,6 @@ class SingularityReport:
     def is_half_log_canonical(self) -> bool:
         return self.kind != "NotHLC"
 
-    @property
-    def is_simple(self) -> bool:
-        return self.kind in ("Smooth", "A", "D", "E")
-
     def label_weight(self) -> str | None:
         """Which stratum counter this singularity feeds: a, b, c, d, or None."""
         if self.kind == "J10":

@@ -50,7 +50,8 @@ class StratumLabel:
             base = f"N_{body}" if body else "N_empty"
         else:
             base = f"M_{self.n}_{body}" if body else f"M_{self.n}_empty"
-        return base + "_p" * self.tag.count("'")
+        primes = self.tag.count("'")
+        return base + ("_" + "p" * primes if primes else "")
 
     def display(self) -> str:
         body = "1" * self.a + "1̄" * self.b + "2" * self.c + "2̄" * self.d

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curveprofile import curve_profile
-from .linsys import (BranchJetContact, ConeDirection, HomForm, LineContact,
-                     MultiplicityAtPoint, NNDegenerateAt, NNPointWithTangent,
+from .linsys import (ConeDirection, HomForm, LineContact, MultiplicityAtPoint, NNPointWithTangent,
                      PLANE_VARS, Point, condition_ideal_graded_piece, normalize_point)
 from .poly import MultiPoly
 from .strata import L, StratumLabel
@@ -406,7 +405,7 @@ def _bicuspidal_skeleton(seed, degenerate_33: bool):
              ConeDirection(Q2_CUSP, TAU2_CUSP, 2, 2)]
     if degenerate_33:
         kappa = _branch_curvature(c1, P1, Y)
-        conds.append(BranchJetContact(P1, Y, kappa, 3))
+        conds.append(LineContact(P1, Y, 3, kappa))
     else:
         conds.append(ConeDirection(P1, Y, 1, 1))
     quartic = pick_form(4, conds, seed,
@@ -451,7 +450,7 @@ def _on_conic_sextic(seed, degenerate_at):
         if tuple(p) in degenerate_at:
             kappa = _branch_curvature(TANGENT_CONIC, p, TAU[p])
             t0 = kappa + 1 + (seed % 5)
-            conds.append(NNDegenerateAt(p, TAU[p], 2, t0))
+            conds.append(NNPointWithTangent(p, TAU[p], 2, t0))
         else:
             conds.append(NNPointWithTangent(p, TAU[p], 2))
     sextic = pick_form(6, conds, seed)

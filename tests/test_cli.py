@@ -178,3 +178,16 @@ def test_verify_single_lemma(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["degree-bounds"]["passed"]
     assert main(["verify", "--lemma", "no-such-lemma"]) == 1
+
+
+def test_degenerate_flag_is_direction_zero(capsys, tmp_path):
+    nn = {"kind": "nn_point", "point": ["1", "2", "1"], "tangent": "x - y + z", "order": 3}
+    outputs = []
+    for extra in ({}, {"degenerate": True}, {"direction": "0"}, {"degenerate": True, "direction": "0"}):
+        path = tmp_path / "nn.json"
+        path.write_text(json.dumps({"degree": 7, "conditions": [dict(nn, **extra)]}))
+        assert main(["linsys", "--constraints", str(path), "--basis"]) == 0
+        outputs.append(capsys.readouterr().out)
+    plain, flag, direction, both = outputs
+    assert flag == direction == both
+    assert json.loads(flag)["dim_forms"] == json.loads(plain)["dim_forms"] - 2

@@ -1,19 +1,21 @@
 """Constrained linear systems of plane curves."""
+import hashlib
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from octica.linsys import (AnchorError, ConeDirection, HomForm, LineContact, MultiplicityAtPoint,
-                           NNPointWithTangent, PLANE_VARS,
-                           condition_ideal_graded_piece,
+from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
+                           MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
+                           condition_ideal_graded_piece, condition_rows,
                            divisibility_multiplicity, invert3, line_through,
                            normalize_point, quadruple_point_system, nn_point_system,
                            random_projectivity, satisfies_conditions,
                            sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
                            sextic_quadruple_system, transport_point,
                            two_33_sextic_pinned_system, two_33_sextic_system)
-from octica.poly import MultiPoly
+from octica.poly import MultiPoly, monomial_basis
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -130,10 +132,66 @@ def test_transport_invariance_of_dimensions():
                     line = MultiPoly(PLANE_VARS, {tuple(1 if k == j else 0 for k in range(3)): new[j]
                                                   for j in range(3) if new[j]})
                     if isinstance(c, NNPointWithTangent):
-                        moved.append(NNPointWithTangent(p, line, c.n, c.degenerate))
+                        moved.append(NNPointWithTangent(p, line, c.n, c.direction))
                     else:
                         moved.append(ConeDirection(p, line, c.m, c.k))
             assert condition_ideal_graded_piece(moved, 6).dim_forms == base
+
+
+def _nonzero(rng, k):
+    return rng.choice([i for i in range(-k, k + 1) if i])
+
+
+def _non_axis_flag(rng):
+    """A point with no zero coordinate on a line with no zero coefficient."""
+    while True:
+        p = normalize_point([_nonzero(rng, 3) for _ in range(3)])
+        q = normalize_point([_nonzero(rng, 3) for _ in range(3)])
+        if p == q:
+            continue
+        line = line_through(p, q)
+        if len(line.terms) == 3:
+            return p, line
+
+
+def _golden_conditions(rng, degree):
+    p, line = _non_axis_flag(rng)
+    n = rng.randint(2, max(2, degree // 2 + 1))
+    m = rng.randint(1, degree + 1)
+    form = MultiPoly(PLANE_VARS, {e: Fraction(_nonzero(rng, 4))
+                                  for e in monomial_basis(3, rng.randint(1, degree))})
+    return [
+        MultiplicityAtPoint(p, rng.randint(1, degree + 1)),
+        NNPointWithTangent(p, line, n),
+        NNPointWithTangent(p, line, n, Fraction(0)),
+        NNPointWithTangent(p, line, n, Fraction(_nonzero(rng, 5), rng.randint(1, 4))),
+        ConeDirection(p, line, m, rng.randint(1, m)),
+        ContainsCurve(HomForm.of(form)),
+        LineContact(p, line, rng.randint(1, degree + 2)),
+        LineContact(p, line, rng.randint(1, 2 * degree + 2), Fraction(_nonzero(rng, 5), rng.randint(1, 3))),
+        LineContact(p, line, rng.randint(degree + 2, 2 * degree + 3)),
+    ]
+
+
+def test_condition_rows_golden_output():
+    # sha256 of the rows of every kind of condition at seeded non-axis flags,
+    # degrees 1-9; no row is identically zero
+    rng = random.Random(20240607)
+    digest = hashlib.sha256()
+    count = 0
+    for degree in range(1, 10):
+        for _ in range(2):
+            for i, cond in enumerate(_golden_conditions(rng, degree)):
+                for row in condition_rows([cond], degree):
+                    assert any(row), (cond, degree)
+                    digest.update(f"{degree}|{i}|{','.join(map(str, row))}\n".encode())
+                    count += 1
+    assert count == GOLDEN_ROW_COUNT
+    assert digest.hexdigest() == GOLDEN_ROWS_SHA256
+
+
+GOLDEN_ROW_COUNT = 1620
+GOLDEN_ROWS_SHA256 = "616335470e3469a7335d0cbd86cd04659164d9320a5e503482a69d298d76e352"
 
 
 def test_more_conditions_never_increase_dimension():

@@ -105,6 +105,11 @@ def test_trivial_matrices():
     assert cmp_.inclusion_holds and not cmp_.strict
 
 
+def test_rank_drop_locus_needs_one_parameter():
+    with pytest.raises(ValueError):
+        rank_drop_locus(ParamMatrix([[MultiPoly.var(("s", "t"), "s")]], ("s", "t")))
+
+
 def test_identically_satisfied_conditions_give_zero_matrix():
     # a family already contained in the quadruple-point ideal: imposing that
     # quadruple point contributes only zero rows

@@ -184,6 +184,19 @@ def test_nonnormal_pipelines_match_table():
         assert r.matches, key
 
 
+def test_records_use_their_own_witness_key():
+    from octica.witnesses import WITNESS_BUILDERS
+    assert L(0, 1, 0, 1, 0, "''").ascii_id() == "N_12_pp"
+    records = build_catalogue()
+    for record in records:
+        if record.label.ascii_id() in WITNESS_BUILDERS:
+            assert record.witness_key == record.label.ascii_id(), record.label.display()
+    by_label = {record.label: record for record in records}
+    assert by_label[L(0, 1, 0, 1, 0, "''")].witness_key == "N_12_pp"
+    used = {record.witness_key for record in records}
+    assert {"N_12_pp", "N_111_pp", "N_112_pp", "N_112_ppp", "N_122_pp", "N_1112_pp"} <= used
+
+
 def test_ascii_ids_are_dot_safe():
     for record in build_catalogue():
         ident = record.label.ascii_id()

@@ -9,6 +9,7 @@ One elimination path per ring:
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -96,20 +97,15 @@ def _row_primitive(row: list[MultiPoly]) -> list[MultiPoly]:
         nz = [e for e in row if not e.is_zero()]
         if not nz:
             return row
-        c = nz[0].rational_content()
-        for e in nz[1:]:
-            cc = e.rational_content()
-            c = Fraction(_gcd_frac(c, cc))
+        c = nz[0].rational_content() if len(nz) == 1 else _content(nz)
         return [e * (1 / c) for e in row]
     return [e.exact_div(g) for e in row]
 
 
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-    a, b = abs(a), abs(b)
-    num = gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+def _content(entries: list[MultiPoly]) -> Fraction:
+    """gcd of all numerators over lcm of all denominators of the entries' terms."""
+    coeffs = [c for e in entries for c in e.terms.values()]
+    return Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
 
 
 def bareiss_echelon(rows: list[list[MultiPoly]]) -> tuple[list[list[MultiPoly]], list[int]]:
@@ -203,11 +199,7 @@ def _primitive_vector(v: list[MultiPoly]) -> list[MultiPoly]:
     lead = next(e for e in v if e)
     if lead.leading_term()[1] < 0:
         v = [-e for e in v]
-    c = None
-    for e in v:
-        if e:
-            cc = e.rational_content()
-            c = abs(cc) if c is None else _gcd_frac(c, cc)
+    c = _content([e for e in v if e])
     if c != 1:
         v = [e * (1 / c) for e in v]
     return v

@@ -5,11 +5,22 @@ iterated in descending graded reverse lexicographic order, so printed output
 and derived bases are reproducible bit for bit.  Parameter rings such as
 QQ[t][x,y,z] are handled with a flat variable frame (x, y, z, t, ...) plus
 coefficient-grouping views; there is never any floating point.
+
+Two kernels carry most of the work.  A product writes each operand's terms
+as integer numerators over the lcm of its denominators, sums the products of
+numerators as ints for each exponent, and makes one reduced Fraction per
+nonzero result term.  Division by one polynomial keeps a single working dict
+and a heap of its exponents that pops the grevlex-leading one first; each
+quotient term is subtracted in place, term by term of the divisor, so there
+is no intermediate polynomial and no rescan for the leading term (Johnson
+1974; Monagan and Pearce, CASC 2007).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, ge, sub
 from typing import Mapping, Sequence
 
 
@@ -39,6 +50,14 @@ class MultiPoly:
         self.terms: dict[tuple[int, ...], Fraction] = clean
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _of(variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Wrap terms that are already clean (nonzero Fractions) without copying."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.vars = variables
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero(variables: Sequence[str]) -> "MultiPoly":
@@ -111,10 +130,8 @@ class MultiPoly:
     def coeff_of(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name^k, kept in this frame with name's exponent 0."""
         i = self.vars.index(name)
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {exp[:i] + (0,) + exp[i + 1:]: c for exp, c in self.terms.items() if exp[i] == k}
-        return out
+        return MultiPoly._of(self.vars, {exp[:i] + (0,) + exp[i + 1:]: c
+                                         for exp, c in self.terms.items() if exp[i] == k})
 
     def support_vars(self) -> set[str]:
         used: set[str] = set()
@@ -141,18 +158,12 @@ class MultiPoly:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return MultiPoly._of(self.vars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,24 +178,18 @@ class MultiPoly:
             c = Fraction(other)
             if c == 0:
                 return MultiPoly(self.vars)
-            out = MultiPoly.__new__(MultiPoly)
-            out.vars = self.vars
-            out.terms = {exp: cc * c for exp, cc in self.terms.items()}
-            return out
+            return MultiPoly._of(self.vars, {exp: cc * c for exp, cc in self.terms.items()})
         self._check_frame(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        t1, d1 = self._numerators()
+        t2, d2 = other._numerators()
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e1, n1 in t1:
+            for e2, n2 in t2:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + n1 * n2
+        den = d1 * d2
+        return MultiPoly._of(self.vars, {exp: Fraction(n, den) for exp, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -226,10 +231,7 @@ class MultiPoly:
                     terms.pop(key, None)
                 else:
                     terms[key] = s
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.vars, terms)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         missing = self.support_vars() - set(values)
@@ -329,19 +331,17 @@ class MultiPoly:
 
     # -- content, division, gcd ---------------------------------------
 
+    def _numerators(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+        """Terms as integer numerators over the lcm of the denominators, and that lcm."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return [(exp, c.numerator * (den // c.denominator)) for exp, c in self.terms.items()], den
+
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer, primitive; sign from the leading term."""
         if not self.terms:
             return Fraction(1)
-        nums = [c.numerator for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, abs(n))
-        l = 1
-        for d in dens:
-            l = l * d // math.gcd(l, d)
-        c = Fraction(g, l)
+        coeffs = self.terms.values()
+        c = Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
         if self.leading_term()[1] < 0:
             c = -c
         return c
@@ -359,21 +359,38 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         lexp, lc = divisor.leading_term()
-        q = MultiPoly(self.vars)
-        r = MultiPoly(self.vars)
-        work = self
-        while work.terms:
-            exp, c = work.leading_term()
-            diff = tuple(a - b for a, b in zip(exp, lexp))
-            if all(d >= 0 for d in diff):
-                t = MultiPoly.monomial(self.vars, diff, c / lc)
-                q = q + t
-                work = work - t * divisor
-            else:
-                t = MultiPoly.monomial(self.vars, exp, c)
-                r = r + t
-                work = work - t
-        return q, r
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lexp]
+        # the working terms, and a heap of their exponents that pops the
+        # grevlex-largest first; an exponent that has cancelled is skipped
+        work = dict(self.terms)
+        heap = [(-sum(e), e[::-1], e) for e in work]
+        heapq.heapify(heap)
+        q: dict[tuple[int, ...], Fraction] = {}
+        r: dict[tuple[int, ...], Fraction] = {}
+        while heap:
+            exp = heapq.heappop(heap)[2]
+            c = work.pop(exp, None)
+            if c is None:
+                continue
+            if not all(map(ge, exp, lexp)):
+                r[exp] = c
+                continue
+            diff = tuple(map(sub, exp, lexp))
+            qc = c / lc
+            q[diff] = qc
+            for e, dc in tail:
+                m = tuple(map(add, diff, e))
+                s = work.get(m)
+                if s is None:
+                    work[m] = -qc * dc
+                    heapq.heappush(heap, (-sum(m), m[::-1], m))
+                else:
+                    s -= qc * dc
+                    if s:
+                        work[m] = s
+                    else:
+                        del work[m]
+        return MultiPoly._of(self.vars, q), MultiPoly._of(self.vars, r)
 
     def divides(self, other: "MultiPoly") -> bool:
         q, r = other.divmod_by(self)

@@ -241,15 +241,6 @@ def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
     return None
 
 
-def is_isolated(germ: LocalCurve | MultiPoly) -> bool:
-    """No repeated component of the germ passes through the origin."""
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
-    for mult, piece in squarefree_decomposition(f):
-        if mult >= 2 and piece.evaluate({"x": 0, "y": 0}) == 0:
-            return False
-    return True
-
-
 def milnor_number(germ: LocalCurve | MultiPoly) -> int | None:
     """Milnor number at the origin; None encodes a non-isolated germ.
 

@@ -24,7 +24,7 @@ from .poly import MultiPoly
 PRIMES = ["", "'", "''", "'''", "''''"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumLabel:
     n: int  # degree of the doubled part
     a: int  # simply elliptic of degree 1
@@ -276,14 +276,14 @@ def simply_elliptic_nodes() -> list[StratumLabel]:
     return nodes
 
 
-def simply_elliptic_edges() -> list[tuple[StratumLabel, StratumLabel]]:
+def simply_elliptic_edges(nodes: list[StratumLabel]) -> list[tuple[StratumLabel, StratumLabel]]:
     E = []
 
     def add(src, dst):
         E.append((src, dst))
 
     N = {}
-    for node in simply_elliptic_nodes():
+    for node in nodes:
         N[(node.a, node.c, node.tag)] = node
     add(N[(0, 0, "")], N[(0, 1, "")])
     add(N[(0, 0, "")], N[(1, 0, "")])
@@ -334,7 +334,8 @@ class DegenerationGraph:
 
 def degeneration_graph(scope: str = "simply-elliptic") -> DegenerationGraph:
     if scope == "simply-elliptic":
-        return DegenerationGraph(simply_elliptic_nodes(), simply_elliptic_edges())
+        nodes = simply_elliptic_nodes()
+        return DegenerationGraph(nodes, simply_elliptic_edges(nodes))
     if scope == "full-rules":
         labels = inhabited_normal_labels()
         edges = []

@@ -9,11 +9,9 @@ from fractions import Fraction
 
 from .curveprofile import curve_profile
 from .linsys import (HomForm, MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
-                     Point, condition_ideal_graded_piece, divisibility_multiplicity,
-                     normalize_point)
+                     condition_ideal_graded_piece, divisibility_multiplicity, normalize_point)
 from .paramfam import FourPointsCertificate, verify_no_four_33_points
 from .poly import MultiPoly
-from .singclass import intersection_multiplicity_origin, localize
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -40,32 +38,6 @@ class LemmaCheckResult:
             "counterexample": self.counterexample,
             "details": self.details,
         }
-
-
-def intersection_multiplicity(f: HomForm, g: HomForm, point) -> int:
-    """Local intersection multiplicity of two curves at a rational point."""
-    p = normalize_point(point)
-    gf = localize(f, p) if _on(f, p) else None
-    gg = localize(g, p) if _on(g, p) else None
-    if gf is None or gg is None:
-        return 0
-    val = intersection_multiplicity_origin(gf.f_local, gg.f_local)
-    if val is None:
-        raise ValueError("curves share a component through the point")
-    return val
-
-
-def _on(f: HomForm, p: Point) -> bool:
-    return f.poly.evaluate({"x": p[0], "y": p[1], "z": p[2]}) == 0
-
-
-def bezout_check(f: HomForm, g: HomForm, points) -> bool:
-    """Sum of local intersection numbers at the given rational common points
-    never exceeds the product of the degrees."""
-    total = 0
-    for p in points:
-        total += intersection_multiplicity(f, g, p)
-    return total <= f.degree * g.degree
 
 
 # -- degree bound suite ---------------------------------------------------------
@@ -175,17 +147,17 @@ def check_milnor_lemma(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
     three_conics = ((Y * Z - X * X) * (Y * Z - 2 * X * X) * (Y * Z - 3 * X * X)).primitive()
     suite.append(("three tangent conics", three_conics, [(0, 0, 1), (0, 1, 0)], 6))
 
+    profiles = {}
     for name, poly, hints, degree in suite:
-        prof = curve_profile(HomForm(poly, degree), hint_points=hints)
+        prof = profiles[name] = curve_profile(HomForm(poly, degree), hint_points=hints)
         checked += 1
         if prof.total_milnor_rational > (degree - 1) ** 2:
             return LemmaCheckResult("milnor-bound", checked, False, name)
         details.append(f"{name}: milnor {prof.total_milnor_rational} <= {(degree-1)**2}")
 
     # equality only for concurrent lines
-    prof = curve_profile(HomForm(four_lines, 4), hint_points=[(0, 0, 1)])
     checked += 1
-    if prof.total_milnor_rational != 9:
+    if profiles["four concurrent lines"].total_milnor_rational != 9:
         return LemmaCheckResult("milnor-bound", checked, False, "four concurrent lines")
 
     # Euler characteristic of the normalisation for the three-conic curve:
@@ -194,7 +166,7 @@ def check_milnor_lemma(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
     # points carry all the singularities.  The normalisation is three
     # disjoint smooth rational curves, chi_top = 6, and the singular side is
     # (3 - d) d + sum over points of (mu + branches - 1).
-    prof = curve_profile(HomForm(three_conics, 6), hint_points=[(0, 0, 1), (0, 1, 0)])
+    prof = profiles["three tangent conics"]
     rhs = (3 - 6) * 6
     for rep in prof.reports:
         rhs += rep.milnor + rep.branches - 1

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from octica.linalg import determinantal_divisor, kernel_basis, rank
+from octica.linalg import bareiss_echelon, determinantal_divisor, kernel_basis, rank
 from octica.poly import (MultiPoly, VariableMismatch, det_bareiss, monomial_basis,
                          poly_gcd, resultant, resultant_sylvester,
                          squarefree_decomposition, squarefree_part)
@@ -180,13 +180,18 @@ def form_gcd_cases():
     return cases
 
 
-def test_form_gcd_and_squarefree_match_sympy():
+def _sympy_frame():
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x y z")
 
     def to_sympy(p):
         return sympy.Poly(sympy.sympify(str(p), locals=dict(zip(V, gens))), *gens, domain="QQ")
 
+    return sympy, gens, to_sympy
+
+
+def test_form_gcd_and_squarefree_match_sympy():
+    sympy, gens, to_sympy = _sympy_frame()
     for f, g in form_gcd_cases():
         d = poly_gcd(f, g)
         assert d == d.primitive()
@@ -198,6 +203,57 @@ def test_form_gcd_and_squarefree_match_sympy():
             theirs = {m: sympy.Poly(piece, *gens, domain="QQ").monic()
                       for piece, m in sympy.sqf_list(to_sympy(p).as_expr(), *gens)[1]}
             assert ours == theirs, str(p)
+
+
+def _all_fractions(*polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+def division_cases(rng):
+    """(dividend, divisor) pairs: random dividends, exact multiples, dividends
+    whose quotient is zero, and remainders that cancel part of the product."""
+    cases = []
+    for _ in range(15):
+        g = random_poly(rng, max_deg=3, terms=rng.randint(1, 4))
+        if g.is_zero():
+            continue
+        h = random_poly(rng, max_deg=3, terms=rng.randint(1, 4))
+        r = random_poly(rng, max_deg=2, terms=3)
+        cases.append((random_poly(rng, max_deg=5, terms=6), g))
+        cases.append((g * h, g))
+        cases.append((g * h - r * g + r, g))
+        cases.append((random_poly(rng, max_deg=1, terms=2), g * g))
+    return cases
+
+
+def test_division_and_product_match_sympy():
+    sympy, gens, to_sympy = _sympy_frame()
+    rng = random.Random(61)
+    for f, g in division_cases(rng):
+        q, r = f.divmod_by(g)
+        assert _all_fractions(q, r)
+        (sq,), sr = sympy.reduced(to_sympy(f).as_expr(), [to_sympy(g).as_expr()], *gens, order="grevlex")
+        assert to_sympy(q) == sympy.Poly(sq, *gens, domain="QQ"), (str(f), str(g))
+        assert to_sympy(r) == sympy.Poly(sr, *gens, domain="QQ"), (str(f), str(g))
+        prod = f * g
+        assert _all_fractions(prod)
+        assert to_sympy(prod) == to_sympy(f) * to_sympy(g), (str(f), str(g))
+
+
+def test_resultant_matches_sympy_with_sign():
+    sympy, gens, to_sympy = _sympy_frame()
+    rng = random.Random(62)
+    checked = 0
+    while checked < 30:
+        f = random_poly(rng, max_deg=3, terms=4)
+        g = random_poly(rng, max_deg=3, terms=4)
+        if f.degree_in("z") <= 0 or g.degree_in("z") <= 0:
+            continue
+        res = resultant(f, g, "z")
+        assert _all_fractions(res)
+        theirs = sympy.resultant(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[2])
+        assert to_sympy(res) == sympy.Poly(theirs, *gens, domain="QQ"), (str(f), str(g))
+        checked += 1
 
 
 def test_form_gcd_golden_output():
@@ -266,3 +322,15 @@ def test_determinantal_divisor_matches_gcd_of_minors():
             got = determinantal_divisor(rows, r, "t")
             assert got == (expected if expected.is_zero() else expected.primitive())
     assert (t * t + one).divmod_by(t)[1] == one
+
+
+def test_bareiss_rows_lose_only_their_content():
+    # a row divides by the gcd of its numerators over the lcm of its
+    # denominators; a row with one nonzero constant also loses its sign
+    T = ("t",)
+    t = MultiPoly.var(T, "t")
+    rows = [[MultiPoly.const(T, Fraction(-2, 3)), Fraction(4, 9) * t],
+            [MultiPoly.const(T, 0), MultiPoly.const(T, Fraction(-3, 2))]]
+    echelon, pivots = bareiss_echelon(rows)
+    assert [[str(e) for e in row] for row in echelon] == [["-3", "2*t"], ["0", "1"]]
+    assert pivots == [0, 1]

@@ -10,9 +10,11 @@ from octica.linsys import HomForm, PLANE_VARS
 from octica.poly import MultiPoly
 from octica.singclass import (LOCAL_VARS, blow_up_strict_transform,
                               classify, intersection_multiplicity_origin,
-                              is_isolated, localize, milnor_number,
+                              localize, milnor_number,
                               multiplicity, rational_roots,
                               strict_germ_at_direction, tangent_cone_structure)
+
+from local_checks import is_isolated
 
 x = MultiPoly.var(LOCAL_VARS, "x")
 y = MultiPoly.var(LOCAL_VARS, "y")

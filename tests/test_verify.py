@@ -3,8 +3,9 @@ import pytest
 
 from octica.linsys import HomForm, PLANE_VARS
 from octica.poly import MultiPoly
-from octica.verify import (bezout_check, check_degree_bounds, check_milnor_lemma,
-                           check_nonexistence_suite, intersection_multiplicity)
+from octica.verify import check_degree_bounds, check_milnor_lemma, check_nonexistence_suite
+
+from local_checks import bezout_check, intersection_multiplicity
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -35,6 +36,38 @@ def test_component_sharing_is_detected():
     b = HomForm(((Y * Z - X * X) * Z).primitive(), 3)
     with pytest.raises(ValueError):
         intersection_multiplicity(a, b, (0, 0, 1))
+
+
+# the full output of the two suites that every catalogue request runs; the
+# Milnor suite checks its last two instances on the profiles of its first loop
+DEGREE_BOUNDS_JSON = {
+    "lemma": "degree-bounds", "instances": 11, "passed": True, "counterexample": None,
+    "details": [
+        "3 concurrent lines: milnor 4 attained",
+        "4 concurrent lines: milnor 9 attained",
+        "multiplicity n needs degree >= n",
+        "degree 3 with an [2;2]-point contains its tangent line",
+        "degree 5 with an [3;3]-point contains its tangent line",
+        "degree 7 with an [4;4]-point contains its tangent line",
+        "septic with [3;3]-point and quadruple point on its tangent: all members non-reduced",
+        "two [3;3]-points with a common tangent line force a doubled line",
+        "three collinear [3;3]-points force a doubled line",
+    ],
+}
+MILNOR_JSON = {
+    "lemma": "milnor-bound", "instances": 5, "passed": True, "counterexample": None,
+    "details": [
+        "four concurrent lines: milnor 9 <= 9",
+        "smooth octic: milnor 0 <= 49",
+        "three tangent conics: milnor 20 <= 25",
+        "three tangent conics: normalisation euler characteristic 6 matches",
+    ],
+}
+
+
+def test_catalogue_suites_golden_output():
+    assert check_degree_bounds().to_json() == DEGREE_BOUNDS_JSON
+    assert check_milnor_lemma().to_json() == MILNOR_JSON
 
 
 def test_degree_bounds_suite():

@@ -140,18 +140,15 @@ def cmd_linsys(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .singclass import LocalCurve, classify, classify_point
+    from .singclass import classify, classify_point
 
     poly = _form(args.curve)
     if args.point:
-        curve = HomForm.of(poly)
-        report = classify_point(curve, _point(args.point))
-        _emit(report.to_json())
-        return 0
-    if poly.degree_in("z") > 0:
+        report = classify_point(HomForm.of(poly), _point(args.point))
+    elif poly.degree_in("z") > 0:
         raise UserError("a trivariate curve needs --point; a germ must use only x and y")
-    germ = LocalCurve(poly.rename(("x", "y")))
-    report = classify(germ)
+    else:
+        report = classify(poly)
     _emit(report.to_json())
     return 0
 
@@ -187,7 +184,7 @@ def cmd_param_analyze(args) -> int:
     out = {"family_size": family.size, "rows": M.rows, "cols": M.cols}
     r = generic_rank(M)
     out["generic_rank"] = r
-    if r and len(M.params) == 1:
+    if r:
         locus = rank_drop_locus(M)
         out["rank_drop_locus"] = str(locus.radical)
         out["minor_gcd"] = str(locus.minor_gcd)

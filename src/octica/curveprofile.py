@@ -16,7 +16,7 @@ from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, i
                      normalize_point, transport_point)
 from .pointsearch import common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
-from .singclass import SingularityReport, classify, localize
+from .singclass import SingularityReport, classify, classify_point, localize
 
 # Fixed coordinate changes tried, in order, when a resultant in the given
 # coordinates cannot certify a point set or a contact bound.
@@ -154,14 +154,13 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
         issues.append("could not certify rationality of all multiple points")
 
     classified: list[Point] = []
-    curve_vals = lambda p: {"x": p[0], "y": p[1], "z": p[2]}
     for p in pts + [h for h in hints if h not in pts]:
         if p in classified:
             continue
-        if f.evaluate(curve_vals(p)) != 0:
+        if evaluate_at(f, p) != 0:
             continue
         classified.append(p)
-        profile.reports.append(classify(localize(curve, p)))
+        profile.reports.append(classify_point(curve, p))
 
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     total_mu = 0
@@ -196,10 +195,9 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, issues: list[str]) ->
         if not certified:
             issues.append("could not certify the singular points of the doubled part")
         for p in sing_pts:
-            vals = {"x": p[0], "y": p[1], "z": p[2]}
-            if v.evaluate(vals) != 0:
+            if evaluate_at(v, p) != 0:
                 continue
-            if u.total_degree() >= 1 and u.evaluate(vals) == 0:
+            if u.total_degree() >= 1 and evaluate_at(u, p) == 0:
                 issues.append(f"reduced part passes through a singular point {p} of the doubled part")
             rep = classify(localize(HomForm.of(v), p))
             if rep.type_string() != "A1":

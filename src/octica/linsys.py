@@ -59,12 +59,10 @@ def normalize_point(coords: Sequence) -> Point:
 
 def line_through(p: Point, q: Point) -> MultiPoly:
     """The linear form vanishing on both points (cross product), primitive."""
-    p, q = normalize_point(p), normalize_point(q)
-    c = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+    c = _cross(normalize_point(p), normalize_point(q))
     if all(v == 0 for v in c):
         raise AnchorError("points coincide; no unique joining line")
-    terms = {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2]}
-    return MultiPoly(PLANE_VARS, terms).primitive()
+    return MultiPoly.linear(PLANE_VARS, c).primitive()
 
 
 def line_coeffs(line: MultiPoly) -> Point:
@@ -226,7 +224,7 @@ def transport_matrix(point: Point, tangent: MultiPoly | None = None) -> list[lis
             raise AnchorError("degenerate tangent data")
         col2 = None
         for e in basis:
-            if sum(a * b for a, b in zip(l, e)) != 0 and _full_rank([col1, e, p]):
+            if sum(a * b for a, b in zip(l, e)) != 0 and _det3([col1, e, p]):
                 col2 = e
                 break
         if col2 is None:
@@ -236,7 +234,7 @@ def transport_matrix(point: Point, tangent: MultiPoly | None = None) -> list[lis
         cols = None
         for a in range(3):
             for b in range(3):
-                if _full_rank([basis[a], basis[b], p]):
+                if _det3([basis[a], basis[b], p]):
                     cols = [basis[a], basis[b], p]
                     break
             if cols:
@@ -254,35 +252,20 @@ def _independent(p, q) -> bool:
     return any(c != 0 for c in _cross(p, q))
 
 
-def _full_rank(cols) -> bool:
-    (a, b, c) = cols
-    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
-           - a[1] * (b[0] * c[2] - b[2] * c[0])
-           + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    return det != 0
-
-
-def _variable_images(A: list[list[Fraction]]) -> list[MultiPoly]:
-    """The linear forms that x, y, z become under u -> A u."""
-    images = []
-    for row in A:
-        terms = {}
-        for j, a in enumerate(row):
-            if a != 0:
-                terms[tuple(1 if k == j else 0 for k in range(3))] = a
-        images.append(MultiPoly(PLANE_VARS, terms))
-    return images
+def _det3(m) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def apply_transport(f: MultiPoly, A: list[list[Fraction]]) -> MultiPoly:
-    """f(A u) in the same frame."""
-    return f.substitute(dict(zip(PLANE_VARS, _variable_images(A))))
+    """f(A u) in the same frame: x, y, z become the linear forms of A's rows."""
+    return f.substitute({v: MultiPoly.linear(PLANE_VARS, row) for v, row in zip(PLANE_VARS, A)})
 
 
 def random_projectivity(rng) -> list[list[Fraction]]:
     while True:
         A = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-        if _full_rank([tuple(A[i][j] for i in range(3)) for j in range(3)]):
+        if _det3(A):
             return A
 
 
@@ -295,7 +278,7 @@ def invert3(A: list[list[Fraction]]) -> list[list[Fraction]]:
     a, b, c = A[0]
     d, e, f = A[1]
     g, h, i = A[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    det = _det3(A)
     if det == 0:
         raise AnchorError("singular transport matrix")
     cof = [
@@ -310,7 +293,7 @@ def invert3(A: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def _monomial_images(degree: int, A: list[list[Fraction]]) -> list[MultiPoly]:
-    imgs_var = _variable_images(A)
+    imgs_var = [MultiPoly.linear(PLANE_VARS, row) for row in A]
     pow_cache = [{0: MultiPoly.const(PLANE_VARS, 1)} for _ in range(3)]
 
     def power(i: int, e: int) -> MultiPoly:
@@ -519,14 +502,7 @@ def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) ->
         raise ValueError("divisor must be nonconstant")
     if fp.is_zero():
         raise ValueError("dividend must be nonzero")
-    k = 0
-    work = fp
-    while True:
-        q, r = work.divmod_by(lp)
-        if not r.is_zero():
-            return k
-        k += 1
-        work = q
+    return fp.divisor_power(lp)[0]
 
 
 def common_divisibility(forms: Sequence[MultiPoly], l: MultiPoly) -> int:

@@ -19,7 +19,7 @@ from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
 from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
                      _degenerate_direction_combos, common_divisibility, condition_rows,
-                     line_coeffs, normalize_point)
+                     evaluate_at, line_coeffs, line_through, normalize_point)
 from .poly import MultiPoly, monomial_basis, poly_gcd, squarefree_part
 
 MAX_PARAMS = 4
@@ -242,14 +242,7 @@ CONIC_EXPS = monomial_basis(3, 2)
 
 
 def _conic_eval_row(p: Point) -> list[Fraction]:
-    values = {"x": p[0], "y": p[1], "z": p[2]}
-    row = []
-    for exp in CONIC_EXPS:
-        val = Fraction(1)
-        for v, e in zip(PLANE_VARS, exp):
-            val *= values[v] ** e
-        row.append(val)
-    return row
+    return [evaluate_at(MultiPoly.monomial(PLANE_VARS, exp), p) for exp in CONIC_EXPS]
 
 
 def _conic_gradient_rows(p: Point, line: MultiPoly) -> list[list[Fraction]]:
@@ -257,14 +250,8 @@ def _conic_gradient_rows(p: Point, line: MultiPoly) -> list[list[Fraction]]:
     three cross-product components suffice; all three are produced and the
     dependent one discarded)."""
     l = line_coeffs(line)
-    grads = []
-    for v in PLANE_VARS:
-        row = []
-        for exp in CONIC_EXPS:
-            mono = MultiPoly.monomial(PLANE_VARS, exp)
-            d = mono.derivative(v)
-            row.append(d.evaluate({"x": p[0], "y": p[1], "z": p[2]}))
-        grads.append(row)
+    grads = [[evaluate_at(MultiPoly.monomial(PLANE_VARS, exp).derivative(v), p) for exp in CONIC_EXPS]
+             for v in PLANE_VARS]
     cross = [
         [l[2] * a - l[1] * b for a, b in zip(grads[1], grads[2])],
         [l[0] * a - l[2] * b for a, b in zip(grads[2], grads[0])],
@@ -294,7 +281,7 @@ def conic_through(points: Sequence[Point] = (), flags: Sequence[tuple[Point, Mul
         rows.append(_conic_eval_row(normalize_point(p)))
     for (p, line) in flags:
         p = normalize_point(p)
-        if line.evaluate({"x": p[0], "y": p[1], "z": p[2]}) != 0:
+        if evaluate_at(line, p) != 0:
             raise AnchorError("flag tangent does not pass through its point")
         rows.extend(_conic_gradient_rows(p, line))
         rows.append(_conic_eval_row(p))
@@ -308,14 +295,10 @@ def conic_through(points: Sequence[Point] = (), flags: Sequence[tuple[Point, Mul
 
 def conic_gradient(Q: HomForm, p: Point) -> MultiPoly:
     """Tangent line of a smooth conic at a point on it."""
-    coeffs = []
-    for v in PLANE_VARS:
-        coeffs.append(Q.poly.derivative(v).evaluate({"x": p[0], "y": p[1], "z": p[2]}))
+    coeffs = [evaluate_at(Q.poly.derivative(v), p) for v in PLANE_VARS]
     if all(c == 0 for c in coeffs):
         raise AnchorError("conic is singular at the point")
-    terms = {tuple(1 if i == j else 0 for i in range(3)): c
-             for j, c in enumerate(coeffs) if c != 0}
-    return MultiPoly(PLANE_VARS, terms).primitive()
+    return MultiPoly.linear(PLANE_VARS, coeffs).primitive()
 
 
 # -- the four-[3;3]-points certificate ----------------------------------------
@@ -363,10 +346,6 @@ def _symbolic_conic(flag_rows: list[list[Fraction]], p4_frame) -> list[MultiPoly
     return vec
 
 
-def _flag_row_pair(p: Point, line: MultiPoly) -> list[list[Fraction]]:
-    return _conic_gradient_rows(normalize_point(p), line)
-
-
 def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     """Fix three points and two tangents, build the three conics through a
     variable fourth point, and certify that their tangent directions at the
@@ -400,7 +379,7 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     for flags in (((p2, l2), (p3, l3)),            # C1: misses p1
                   ((p1, l1), (p3, l3)),            # C2: misses p2
                   ((p1, l1), (p2, l2_used))):      # C3: misses p3
-        rows = _flag_row_pair(*flags[0]) + _flag_row_pair(*flags[1])
+        rows = [row for p, line in flags for row in _conic_gradient_rows(normalize_point(p), line)]
         conics.append(_symbolic_conic(rows, frame))
 
     # tangent line of each conic at p4 = (u : v : 1): gradient evaluated there
@@ -430,7 +409,6 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
 
     degenerate_lines = []
     for (a, b) in ((p1, p2), (p1, p3), (p2, p3)):
-        from .linsys import line_through
         degenerate_lines.append(_eval_form_at_uv(line_through(a, b)))
     for l in (l1, l2, l3):
         degenerate_lines.append(_eval_form_at_uv(l))

@@ -64,7 +64,7 @@ def _roots_of_binary(g: MultiPoly, u: str, v: str) -> tuple[list[tuple[Fraction,
     if dehom.total_degree() > 0:
         for r in rational_roots(dehom, u):
             out.append((r, Fraction(1)))
-            line = MultiPoly((u, v), {(1, 0): Fraction(1), (0, 1): -r})
+            line = MultiPoly.linear((u, v), (1, -r))
             leftover = leftover.exact_div(line)
     return out, leftover
 
@@ -109,7 +109,7 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
             lu, lv = coords[u], coords[v]
             if lu == 0 and lv == 0:
                 continue  # the axis point is invisible in this elimination
-            line = MultiPoly((u, v), {(1, 0): lv, (0, 1): -lu}).primitive()
+            line = MultiPoly.linear((u, v), (lv, -lu)).primitive()
             q, r = leftover.divmod_by(line)
             if r.is_zero():
                 leftover = q

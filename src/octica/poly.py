@@ -82,6 +82,12 @@ class MultiPoly:
     def monomial(variables: Sequence[str], exponents: Sequence[int], c=1) -> "MultiPoly":
         return MultiPoly(variables, {tuple(exponents): Fraction(c)})
 
+    @staticmethod
+    def linear(variables: Sequence[str], coeffs: Sequence) -> "MultiPoly":
+        """The linear form sum coeffs[i] * variables[i]."""
+        n = len(variables)
+        return MultiPoly(variables, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
+
     # -- basic structure ----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -277,8 +283,8 @@ class MultiPoly:
                 if e:
                     cache = powers[i]
                     if e not in cache:
-                        p = cache[max(k for k in cache if k <= e)]
                         k = max(k for k in cache if k <= e)
+                        p = cache[k]
                         while k < e:
                             p = p * images[i]
                             k += 1
@@ -391,6 +397,16 @@ class MultiPoly:
                     else:
                         del work[m]
         return MultiPoly._of(self.vars, q), MultiPoly._of(self.vars, r)
+
+    def divisor_power(self, divisor: "MultiPoly") -> tuple[int, "MultiPoly"]:
+        """The largest k with divisor^k dividing this nonzero polynomial, and
+        the quotient by divisor^k."""
+        k, f = 0, self
+        while True:
+            q, r = f.divmod_by(divisor)
+            if r:
+                return k, f
+            k, f = k + 1, q
 
     def divides(self, other: "MultiPoly") -> bool:
         q, r = other.divmod_by(self)
@@ -525,15 +541,17 @@ def pseudo_remainder(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
     if da < db:
         return A
     lb = B.coeff_of(main, db)
-    xm = MultiPoly.var(A.vars, main)
+    i = A.vars.index(main)
     R = A
     for _ in range(da - db + 1):
         dr = R.degree_in(main)
         if dr < db or R.is_zero():
             R = R * lb
             continue
-        lr = R.coeff_of(main, dr)
-        R = R * lb - lr * xm ** (dr - db) * B
+        # lc(R) * main^(dr - db), read off R by shifting exponents
+        shifted = MultiPoly._of(R.vars, {exp[:i] + (dr - db,) + exp[i + 1:]: c
+                                         for exp, c in R.terms.items() if exp[i] == dr})
+        R = R * lb - shifted * B
     return R
 
 

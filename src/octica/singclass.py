@@ -5,14 +5,21 @@ of the singularity types admissible on the branch curve of a stable double
 cover (A/D/E, the ordinary and degenerate quadruple points X9 / X_p / Y_{r,s},
 the ordinary and degenerate triple points with infinitely-near triple point
 J10 / J_{2,p}, and the six non-isolated types along a doubled component), or
-none of these.  Milnor numbers are computed exactly as the intersection
-multiplicity of the two partial derivatives at the origin, by the order of a
-resultant in sheared coordinates, at the first shear of a fixed sweep under
-which the resultant order provably equals the intersection number.  The
-classifier computes mu once per germ: an infinite mu means a repeated
-component through the point and selects the non-isolated types.  A gcd of
-the two partials is taken only as a fallback, when the resultant vanishes or
-the first shears all fail.
+none of these.
+
+A germ is a `MultiPoly` in (x, y) with the point at the origin; `localize`
+moves a rational point of a plane curve to (0:0:1) and sets z = 1.
+`classify` types a germ.  `classify_point` types a curve at a point and is
+the one place that reports the point and the distinguished tangent in the
+coordinates of the curve.
+
+Milnor numbers are computed exactly as the intersection multiplicity of the
+two partial derivatives at the origin, by the order of a resultant in sheared
+coordinates, at the first shear of a fixed sweep under which the resultant
+order provably equals the intersection number.  The classifier computes mu
+once per germ: an infinite mu means a repeated component through the point
+and selects the non-isolated types.  A gcd of the two partials is taken only
+as a fallback, when the resultant vanishes or the first shears all fail.
 """
 from __future__ import annotations
 
@@ -21,135 +28,64 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linsys import HomForm, PLANE_VARS, Point, apply_transport, invert3, normalize_point, transport_matrix
+from .linsys import (HomForm, Point, apply_transport, evaluate_at, line_through, normalize_point,
+                     transport_matrix, transport_point)
 from .poly import (MultiPoly, poly_gcd, resultant, squarefree_decomposition,
                    squarefree_part, univariate_coeff_list)
 
 LOCAL_VARS = ("x", "y")
 
 
-# -- local curves -------------------------------------------------------------
+# -- germs ----------------------------------------------------------------------
 
 
-@dataclass
-class LocalCurve:
-    """A curve germ at the origin of an affine chart, with its provenance."""
-
-    f_local: MultiPoly
-    original_point: Point | None = None
-    transport: list[list[Fraction]] | None = None
-
-    def __post_init__(self):
-        if self.f_local.vars != LOCAL_VARS:
-            self.f_local = self.f_local.rename(LOCAL_VARS)
-        if self.f_local.evaluate({"x": 0, "y": 0}) != 0:
-            raise ValueError("germ does not pass through the origin")
+def _chart(f: MultiPoly, A: list[list[Fraction]]) -> MultiPoly:
+    """f(A u) in the affine chart z = 1, as a polynomial in LOCAL_VARS."""
+    return apply_transport(f, A).substitute({"z": Fraction(1)}).rename(LOCAL_VARS)
 
 
-def localize(curve: HomForm, point) -> LocalCurve:
-    """Germ of the curve at the point: transport to (0:0:1), set z to 1."""
+def _point_on(curve: HomForm, point) -> Point:
     p = normalize_point(point)
-    value = curve.poly.evaluate({"x": p[0], "y": p[1], "z": p[2]})
-    if value != 0:
+    if evaluate_at(curve.poly, p) != 0:
         raise ValueError(f"point {point} does not lie on the curve")
-    A = transport_matrix(p)
-    g = apply_transport(curve.poly, A)
-    g = g.substitute({"z": Fraction(1)}).rename(LOCAL_VARS + ("z",)).rename(LOCAL_VARS)
-    return LocalCurve(g, p, A)
+    return p
 
 
-def multiplicity(germ: LocalCurve | MultiPoly) -> int:
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
+def localize(curve: HomForm, point) -> MultiPoly:
+    """Germ of the curve at the point: transport to (0:0:1), set z to 1."""
+    return _chart(curve.poly, transport_matrix(_point_on(curve, point)))
+
+
+def multiplicity(f: MultiPoly) -> int:
     if f.is_zero():
         raise ValueError("zero germ")
     return min(sum(exp) for exp in f.terms)
 
 
-def tangent_cone(germ: LocalCurve | MultiPoly) -> MultiPoly:
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
-    m = multiplicity(germ)
-    terms = {exp: c for exp, c in f.terms.items() if sum(exp) == m}
-    return MultiPoly(f.vars, terms)
+def tangent_cone(f: MultiPoly) -> MultiPoly:
+    m = multiplicity(f)
+    return MultiPoly(f.vars, {exp: c for exp, c in f.terms.items() if sum(exp) == m})
 
 
-def tangent_cone_structure(germ: LocalCurve | MultiPoly) -> list[tuple[int, MultiPoly]]:
-    """Squarefree structure [(multiplicity, squarefree factor)] of the cone."""
-    return squarefree_decomposition(tangent_cone(germ))
+def strict_germ_at_direction(f: MultiPoly, direction: tuple[Fraction, Fraction]) -> MultiPoly:
+    """Strict transform of one blow-up, localised at a point of the
+    exceptional line.
 
-
-# -- blow-up ------------------------------------------------------------------
-
-
-def blow_up_strict_transform(germ: LocalCurve | MultiPoly) -> list[dict]:
-    """Both charts of one blow-up.
-
-    Chart "y/x": substitute y -> x*y and divide by x^multiplicity; the
-    exceptional line is x = 0 and y is the direction coordinate.  Chart "x/y"
-    is symmetric and only the direction at infinity (0:1) is read off there.
-    Each entry reports the rational singular directions of the strict
-    transform along the exceptional line.
+    `direction` is the tangent direction (dx : dy).  For dx != 0 this is the
+    point y = dy/dx of the chart y -> x*y, whose exceptional line is x = 0;
+    for dx == 0 it is the origin of the chart x -> x*y, where x is the
+    direction coordinate and the exceptional line is y = 0.
     """
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
-    m = multiplicity(germ)
-    x = MultiPoly.var(LOCAL_VARS, "x")
-    y = MultiPoly.var(LOCAL_VARS, "y")
-    charts = []
-    g1 = f.substitute({"y": x * y}).exact_div(x ** m)
-    charts.append({"chart": "y/x", "strict": g1,
-                   "singular_directions": _singular_on_exceptional(g1, "x")})
-    g2 = f.substitute({"x": x * y}).exact_div(y ** m)
-    charts.append({"chart": "x/y", "strict": g2,
-                   "singular_directions": _singular_on_exceptional(g2, "y")})
-    return charts
-
-
-def _singular_on_exceptional(strict: MultiPoly, exc_var: str) -> list[Fraction]:
-    other = "y" if exc_var == "x" else "x"
-    on_line = strict.substitute({exc_var: Fraction(0)})
-    if on_line.is_zero():
-        return []
-    restr = on_line.rename((other,))
-    d1 = restr.derivative(other)
-    dd = strict.derivative(exc_var).substitute({exc_var: Fraction(0)}).rename((other,))
-    g = poly_gcd(poly_gcd(restr, d1), dd)
-    if g.total_degree() <= 0:
-        return []
-    return rational_roots(g, other)
-
-
-def strict_germ_at_direction(germ: LocalCurve | MultiPoly, direction: tuple[Fraction, Fraction]) -> MultiPoly:
-    """Strict transform localised at a point of the exceptional line.
-
-    `direction` is the tangent direction (dx : dy); for dx != 0 this is the
-    point y = dy/dx of chart "y/x", for dx == 0 the origin of chart "x/y".
-    """
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
-    m = multiplicity(germ)
+    m = multiplicity(f)
     x = MultiPoly.var(LOCAL_VARS, "x")
     y = MultiPoly.var(LOCAL_VARS, "y")
     dx, dy = Fraction(direction[0]), Fraction(direction[1])
     if dx != 0:
-        t = dy / dx
-        g = f.substitute({"y": x * (y + t)}).exact_div(x ** m)
-    else:
-        # direction (0:1): visible at the origin of the second chart, where x
-        # is the direction coordinate and the exceptional line is y = 0
-        g = f.substitute({"x": x * y}).exact_div(y ** m)
-    return g
+        return f.substitute({"y": x * (y + dy / dx)}).exact_div(x ** m)
+    return f.substitute({"x": x * y}).exact_div(y ** m)
 
 
 # -- intersection numbers and Milnor numbers ----------------------------------
-
-
-def _strip_var(f: MultiPoly, name: str) -> tuple[int, MultiPoly]:
-    v = MultiPoly.var(f.vars, name)
-    k = 0
-    while True:
-        q, r = f.divmod_by(v)
-        if not r.is_zero():
-            return k, f
-        k += 1
-        f = q
 
 
 def _order_along_axis(f: MultiPoly, axis_var: str) -> int | None:
@@ -180,13 +116,14 @@ def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
         return 0
     total = 0
     for name, other in (("x", "y"), ("y", "x")):
-        k, p = _strip_var(p, name)
+        v = MultiPoly.var(LOCAL_VARS, name)
+        k, p = p.divisor_power(v)
         if k:
             o = _order_along_axis(q, other)
             if o is None:
                 return None
             total += k * o
-        k, q = _strip_var(q, name)
+        k, q = q.divisor_power(v)
         if k:
             o = _order_along_axis(p, other)
             if o is None:
@@ -241,13 +178,12 @@ def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
     return None
 
 
-def milnor_number(germ: LocalCurve | MultiPoly) -> int | None:
+def milnor_number(f: MultiPoly) -> int | None:
     """Milnor number at the origin; None encodes a non-isolated germ.
 
     Over Q, mu = I_0(f_x, f_y) is infinite exactly when a repeated component
     of f passes through the origin, so no squarefree decomposition is needed.
     """
-    f = germ.f_local if isinstance(germ, LocalCurve) else germ
     f = f.rename(LOCAL_VARS)
     if f.is_zero():
         return None
@@ -409,40 +345,31 @@ def _branch_count_A(n: int) -> int:
     return 2 if n % 2 == 1 else 1
 
 
-def _not_hlc(reason: str, m: int, mu=None, point=None) -> SingularityReport:
-    return SingularityReport("NotHLC", (), m, mu, None, None, None, reason, point)
+def _not_hlc(reason: str, m: int, mu=None) -> SingularityReport:
+    return SingularityReport("NotHLC", (), m, mu, reason=reason)
 
 
-def classify(germ: LocalCurve | MultiPoly) -> SingularityReport:
-    f = (germ.f_local if isinstance(germ, LocalCurve) else germ).rename(LOCAL_VARS)
-    point = germ.original_point if isinstance(germ, LocalCurve) else None
-    transport = germ.transport if isinstance(germ, LocalCurve) else None
+def classify(f: MultiPoly) -> SingularityReport:
+    """Type of the germ f at the origin of (x, y)."""
+    f = f.rename(LOCAL_VARS)
     if f.is_zero():
         raise ValueError("zero germ")
     if f.evaluate({"x": 0, "y": 0}) != 0:
         raise ValueError("germ does not pass through the origin")
     mu = milnor_number(f)
     if mu is None:
-        rep = _classify_nonisolated(f)
-        rep.point = point
-        _globalise_tangent(rep, transport)
-        return rep
+        return _classify_nonisolated(f)
     m = multiplicity(f)
     if m == 1:
-        return SingularityReport("Smooth", (), 1, 0, None, 1, None, "", point)
-    cone = tangent_cone(f)
-    structure = squarefree_decomposition(cone)
-    rep: SingularityReport
+        return SingularityReport("Smooth", (), 1, 0, None, 1)
+    structure = squarefree_decomposition(tangent_cone(f))
     if m == 2:
-        rep = SingularityReport("A", (mu,), 2, mu, None, _branch_count_A(mu), None, "", point)
-    elif m == 3:
-        rep = _classify_triple(f, mu, structure, point)
-    elif m == 4:
-        rep = _classify_quadruple(f, mu, structure, point)
-    else:
-        rep = _not_hlc(f"multiplicity {m} exceeds 4", m, mu, point)
-    _globalise_tangent(rep, transport)
-    return rep
+        return SingularityReport("A", (mu,), 2, mu, None, _branch_count_A(mu))
+    if m == 3:
+        return _classify_triple(f, mu, structure)
+    if m == 4:
+        return _classify_quadruple(f, mu, structure)
+    return _not_hlc(f"multiplicity {m} exceeds 4", m, mu)
 
 
 def _direction_of_line(line: MultiPoly) -> tuple[Fraction, Fraction]:
@@ -452,71 +379,70 @@ def _direction_of_line(line: MultiPoly) -> tuple[Fraction, Fraction]:
     return (b, -a)
 
 
-def _classify_triple(f, mu, structure, point) -> SingularityReport:
+def _classify_triple(f, mu, structure) -> SingularityReport:
     by_mult = {}
     for k, piece in structure:
         by_mult.setdefault(k, []).append(piece)
     if set(by_mult) == {1}:
         if mu != 4:
-            return _not_hlc(f"ordinary triple point with unexpected milnor {mu}", 3, mu, point)
-        return SingularityReport("D", (4,), 3, 4, None, 3, None, "", point)
+            return _not_hlc(f"ordinary triple point with unexpected milnor {mu}", 3, mu)
+        return SingularityReport("D", (4,), 3, 4, None, 3)
     if 2 in by_mult:
         doubles = by_mult[2]
         if len(doubles) == 1 and doubles[0].total_degree() == 1:
             if mu < 5:
-                return _not_hlc(f"triple point with double direction but milnor {mu}", 3, mu, point)
+                return _not_hlc(f"triple point with double direction but milnor {mu}", 3, mu)
             branches = 3 if mu % 2 == 0 else 2
-            return SingularityReport("D", (mu,), 3, mu, None, branches, doubles[0].primitive(), "", point)
-        return _not_hlc("triple cone with unexpected double structure", 3, mu, point)
+            return SingularityReport("D", (mu,), 3, mu, None, branches, doubles[0].primitive())
+        return _not_hlc("triple cone with unexpected double structure", 3, mu)
     if 3 in by_mult:
         line = by_mult[3][0]
         if line.total_degree() != 1:
-            return _not_hlc("triple cone is a perfect cube of higher degree", 3, mu, point)
+            return _not_hlc("triple cone is a perfect cube of higher degree", 3, mu)
         if mu in (6, 7, 8):
             branches = {6: 1, 7: 2, 8: 1}[mu]
-            return SingularityReport("E", (mu,), 3, mu, None, branches, line.primitive(), "", point)
+            return SingularityReport("E", (mu,), 3, mu, None, branches, line.primitive())
         if mu < 10:
-            return _not_hlc(f"triple line cone with milnor {mu}", 3, mu, point)
+            return _not_hlc(f"triple line cone with milnor {mu}", 3, mu)
         strict = strict_germ_at_direction(f, _direction_of_line(line))
         s_mult = multiplicity(strict)
         if s_mult != 3:
-            return _not_hlc(f"infinitely-near multiplicity {s_mult} after a triple line", 3, mu, point)
+            return _not_hlc(f"infinitely-near multiplicity {s_mult} after a triple line", 3, mu)
         s_structure = squarefree_decomposition(tangent_cone(strict))
         ordinary = all(k == 1 for k, _ in s_structure)
         if ordinary:
             if mu != 10:
-                return _not_hlc(f"ordinary infinitely-near triple with milnor {mu}", 3, mu, point)
-            return SingularityReport("J10", (), 3, 10, None, 3, line.primitive(), "", point)
+                return _not_hlc(f"ordinary infinitely-near triple with milnor {mu}", 3, mu)
+            return SingularityReport("J10", (), 3, 10, None, 3, line.primitive())
         if any(k >= 3 for k, _ in s_structure):
-            return _not_hlc("infinitely-near triple degenerates to a triple direction", 3, mu, point)
+            return _not_hlc("infinitely-near triple degenerates to a triple direction", 3, mu)
         p = mu - 10
         if p < 1:
-            return _not_hlc(f"degenerate infinitely-near triple with milnor {mu}", 3, mu, point)
+            return _not_hlc(f"degenerate infinitely-near triple with milnor {mu}", 3, mu)
         branches = 3 if (4 + p) % 2 == 0 else 2
-        return SingularityReport("J2", (p,), 3, mu, None, branches, line.primitive(), "", point)
-    return _not_hlc("unrecognised triple cone", 3, mu, point)
+        return SingularityReport("J2", (p,), 3, mu, None, branches, line.primitive())
+    return _not_hlc("unrecognised triple cone", 3, mu)
 
 
-def _classify_quadruple(f, mu, structure, point) -> SingularityReport:
+def _classify_quadruple(f, mu, structure) -> SingularityReport:
     by_mult: dict[int, list[MultiPoly]] = {}
     for k, piece in structure:
         by_mult.setdefault(k, []).append(piece)
     if any(k >= 3 for k in by_mult):
-        return _not_hlc("quadruple cone with a direction of multiplicity >= 3", 4, mu, point)
+        return _not_hlc("quadruple cone with a direction of multiplicity >= 3", 4, mu)
     if set(by_mult) == {1}:
         if mu != 9:
-            return _not_hlc(f"ordinary quadruple point with unexpected milnor {mu}", 4, mu, point)
-        return SingularityReport("X", (9,), 4, 9, None, 4, None, "", point)
+            return _not_hlc(f"ordinary quadruple point with unexpected milnor {mu}", 4, mu)
+        return SingularityReport("X", (9,), 4, 9, None, 4)
     doubles = by_mult[2]
     double_deg = sum(p.total_degree() for p in doubles)
     if double_deg == 1:
         if mu < 10:
-            return _not_hlc(f"degenerate quadruple with milnor {mu}", 4, mu, point)
+            return _not_hlc(f"degenerate quadruple with milnor {mu}", 4, mu)
         p = mu
         k = p - 8
         branches = 2 + _branch_count_A(k)
-        return SingularityReport("X", (p,), 4, mu, None, branches,
-                                 doubles[0].primitive(), "", point)
+        return SingularityReport("X", (p,), 4, mu, None, branches, doubles[0].primitive())
     if double_deg == 2:
         # two repeated directions: either two rational ones or a conjugate pair
         if len(doubles) == 1 and doubles[0].total_degree() == 2:
@@ -529,10 +455,9 @@ def _classify_quadruple(f, mu, structure, point) -> SingularityReport:
                 dirs = _split_binary_quadratic(quad)
             else:
                 if (mu - 9) % 2 != 0 or mu < 11:
-                    return _not_hlc(f"conjugate repeated directions with milnor {mu}", 4, mu, point)
+                    return _not_hlc(f"conjugate repeated directions with milnor {mu}", 4, mu)
                 r = (mu - 9) // 2
-                return SingularityReport("Y", (r, r), 4, mu, None,
-                                         2 * _branch_count_A(r + 1), None, "", point)
+                return SingularityReport("Y", (r, r), 4, mu, None, 2 * _branch_count_A(r + 1))
         else:
             dirs = [_direction_of_line(d) for d in doubles]
         rs = []
@@ -540,14 +465,14 @@ def _classify_quadruple(f, mu, structure, point) -> SingularityReport:
             strict = strict_germ_at_direction(f, d)
             local_mu = milnor_number(strict)
             if local_mu is None:
-                return _not_hlc("non-isolated infinitely-near structure at a repeated direction", 4, mu, point)
+                return _not_hlc("non-isolated infinitely-near structure at a repeated direction", 4, mu)
             rs.append(local_mu + 1)
         r, s = sorted(rs)
         if r < 1 or 9 + r + s != mu:
-            return _not_hlc(f"repeated directions with inconsistent contact ({r},{s}) vs milnor {mu}", 4, mu, point)
+            return _not_hlc(f"repeated directions with inconsistent contact ({r},{s}) vs milnor {mu}", 4, mu)
         branches = _branch_count_A(r + 1) + _branch_count_A(s + 1)
-        return SingularityReport("Y", (r, s), 4, mu, None, branches, None, "", point)
-    return _not_hlc("unrecognised quadruple cone", 4, mu, point)
+        return SingularityReport("Y", (r, s), 4, mu, None, branches)
+    return _not_hlc("unrecognised quadruple cone", 4, mu)
 
 
 def _split_binary_quadratic(quad: MultiPoly) -> list[tuple[Fraction, Fraction]]:
@@ -557,10 +482,11 @@ def _split_binary_quadratic(quad: MultiPoly) -> list[tuple[Fraction, Fraction]]:
     b = quad.coeff((1, 1))
     c = quad.coeff((0, 2))
     if a == 0:
-        # no x^2 term: quad = y*(b*x + c*y), and the line y spans direction (1, 0)
+        # no x^2 term: quad = y*(b*x + c*y); y spans the direction (1, 0) and
+        # b*x + c*y spans (c, -b)
         dirs.append((Fraction(1), Fraction(0)))
         if b != 0:
-            dirs.append(_direction_of_line(MultiPoly(LOCAL_VARS, {(1, 0): b, (0, 1): c})))
+            dirs.append((c, -b))
         return dirs
     disc = b * b - 4 * a * c
     rn = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
@@ -592,14 +518,14 @@ def _classify_nonisolated(f: MultiPoly) -> SingularityReport:
     mv = multiplicity(v)
     if mv == 1:
         if u.is_constant():
-            return SingularityReport("A_inf", (), m_all, None, 0, None, None, "")
+            return SingularityReport("A_inf", (), m_all, None, 0)
         mu_u = multiplicity(u)
         if mu_u == 1:
             contact = intersection_multiplicity_origin(u, v)
             if contact == 1:
-                return SingularityReport("D_inf", (), m_all, None, 1, None, None, "")
+                return SingularityReport("D_inf", (), m_all, None, 1)
             if contact == 2:
-                return SingularityReport("J2_inf", (), m_all, None, 4, None, None, "")
+                return SingularityReport("J2_inf", (), m_all, None, 4)
             return _not_hlc(f"reduced branch meets the doubled component with contact {contact}", m_all)
         if mu_u == 2:
             contact = intersection_multiplicity_origin(u, v)
@@ -609,31 +535,28 @@ def _classify_nonisolated(f: MultiPoly) -> SingularityReport:
             if mu_val is None:
                 return _not_hlc("reduced part is itself non-reduced", m_all)
             if mu_val == 1:
-                return SingularityReport("X_inf", (), m_all, None, 5, None, None, "")
+                return SingularityReport("X_inf", (), m_all, None, 5)
             r = mu_val - 1
-            return SingularityReport("Y_r_inf", (r,), m_all, None, r + 5, None, None, "")
+            return SingularityReport("Y_r_inf", (r,), m_all, None, r + 5)
         return _not_hlc(f"reduced part of multiplicity {mu_u} on the doubled component", m_all)
     if mv == 2:
         if not u.is_constant():
             return _not_hlc("reduced branch through a singular point of the doubled component", m_all)
         if milnor_number(v) != 1:
             return _not_hlc("doubled component with a singularity worse than a node", m_all)
-        return SingularityReport("Y_inf_inf", (), m_all, None, 4, None, None, "")
+        return SingularityReport("Y_inf_inf", (), m_all, None, 4)
     return _not_hlc("doubled component of multiplicity >= 3", m_all)
 
 
-def _globalise_tangent(rep: SingularityReport, transport) -> None:
-    if rep.distinguished_tangent is None or transport is None:
-        return
-    local = rep.distinguished_tangent
-    a = local.coeff((1, 0))
-    b = local.coeff((0, 1))
-    inv = invert3(transport)
-    coeffs = [a * inv[0][j] + b * inv[1][j] for j in range(3)]
-    terms = {tuple(1 if k == j else 0 for k in range(3)): coeffs[j]
-             for j in range(3) if coeffs[j] != 0}
-    rep.distinguished_tangent = MultiPoly(PLANE_VARS, terms).primitive()
-
-
 def classify_point(curve: HomForm, point) -> SingularityReport:
-    return classify(localize(curve, point))
+    """Type of the curve at a rational point on it, with the point and the
+    distinguished tangent in the coordinates of the curve."""
+    p = _point_on(curve, point)
+    A = transport_matrix(p)
+    rep = classify(_chart(curve.poly, A))
+    rep.point = p
+    if rep.distinguished_tangent is not None:
+        # the tangent joins p = A*e3 and the image under A of its direction
+        dx, dy = _direction_of_line(rep.distinguished_tangent)
+        rep.distinguished_tangent = line_through(p, transport_point(A, (dx, dy, 0)))
+    return rep

@@ -14,9 +14,11 @@ from fractions import Fraction
 
 from .curveprofile import curve_profile
 from .linsys import (ConeDirection, HomForm, LineContact, MultiplicityAtPoint, NNPointWithTangent,
-                     PLANE_VARS, Point, condition_ideal_graded_piece, normalize_point)
+                     PLANE_VARS, Point, _det3, condition_ideal_graded_piece, evaluate_at,
+                     normalize_point, transport_matrix)
 from .poly import MultiPoly
-from .strata import L, StratumLabel
+from .singclass import _chart
+from .strata import L, StratumLabel, _conic_matrix
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -32,10 +34,6 @@ WITNESS_SEED = 90101
 
 class WitnessConstructionError(RuntimeError):
     pass
-
-
-def _evaluate(f: MultiPoly, p: Point) -> Fraction:
-    return f.evaluate({"x": p[0], "y": p[1], "z": p[2]})
 
 
 def pick_form(degree: int, conditions, seed: int, avoid_points=(), checks=(), tries: int = 80) -> MultiPoly:
@@ -54,7 +52,7 @@ def pick_form(degree: int, conditions, seed: int, avoid_points=(), checks=(), tr
                 f = f + b.poly * c
         if f.is_zero():
             continue
-        if any(_evaluate(f, normalize_point(p)) == 0 for p in avoid_points):
+        if any(evaluate_at(f, normalize_point(p)) == 0 for p in avoid_points):
             continue
         if any(not chk(f) for chk in checks):
             continue
@@ -63,13 +61,7 @@ def pick_form(degree: int, conditions, seed: int, avoid_points=(), checks=(), tr
 
 
 def _smooth_conic(q: MultiPoly) -> bool:
-    m = [[q.coeff((2, 0, 0)), q.coeff((1, 1, 0)) / 2, q.coeff((1, 0, 1)) / 2],
-         [q.coeff((1, 1, 0)) / 2, q.coeff((0, 2, 0)), q.coeff((0, 1, 1)) / 2],
-         [q.coeff((1, 0, 1)) / 2, q.coeff((0, 1, 1)) / 2, q.coeff((0, 0, 2))]]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return det != 0
+    return _det3(_conic_matrix(q)) != 0
 
 
 def _generic_conic(seed, avoid=()):
@@ -431,10 +423,7 @@ TAU = {P1: (X + Y).primitive(), P2: (X + Z).primitive(), P3: (Y + Z).primitive()
 def _branch_curvature(form: MultiPoly, p: Point, tangent: MultiPoly) -> Fraction:
     """Curvature coefficient of a smooth branch tangent to the given line, in
     the standard transported frame (branch y = kappa*x^2 + ...)."""
-    from .linsys import apply_transport, transport_matrix
-    A = transport_matrix(p, tangent)
-    g = apply_transport(form, A).substitute({"z": Fraction(1)})
-    g = g.rename(("x", "y"))
+    g = _chart(form, transport_matrix(p, tangent))
     a = g.coeff((0, 1))
     b = g.coeff((2, 0))
     if a == 0:

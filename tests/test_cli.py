@@ -173,6 +173,19 @@ def test_user_errors_exit_1(capsys, tmp_path):
     assert main(["linsys", "--constraints", str(malformed)]) == 1
 
 
+@pytest.mark.parametrize("curve, message", [
+    ("x^2 + y^2 + 1", "germ does not pass through the origin"),
+    ("0", "zero germ"),
+], ids=["off-origin", "zero"])
+def test_classify_rejects_germs_off_the_origin(capsys, curve, message):
+    # the classifier raises these itself, so they are internal errors (exit 2)
+    assert main(["classify", "--curve", curve]) == 2
+    assert capsys.readouterr().err == f"internal error: ValueError: {message}\n"
+    assert main(["--json-errors", "classify", "--curve", curve]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "internal", "type": "ValueError",
+                                                  "message": message}
+
+
 def test_verify_single_lemma(capsys):
     assert main(["verify", "--lemma", "degree-bounds"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -2,7 +2,7 @@
 import pytest
 
 from octica.curveprofile import curve_profile
-from octica.linsys import HomForm, PLANE_VARS
+from octica.linsys import HomForm, PLANE_VARS, apply_transport
 from octica.poly import MultiPoly
 
 X = MultiPoly.var(PLANE_VARS, "x")
@@ -87,3 +87,37 @@ def test_quadruple_line_cone_rejected():
     prof = curve_profile(HomForm((X ** 5 * Z ** 3 + Y ** 8).primitive(), 8),
                          hint_points=[(0, 0, 1)])
     assert not prof.half_log_canonical
+
+
+# The (0,2,0,2,0) octic of the README's open question on N_1122: a member of the
+# linear system with [3;3]-points at (0:0:1) and (0:1:0), tangents y and z,
+# and quadruple points at (1:0:0) and (1:2:3), whose basis members are each
+# non-reduced.  The stratum table calls N_1122 empty; this profile is the
+# oracle for whichever of the two turns out wrong.
+N_1122_OCTIC = Y * Z * (81 * X ** 4 * Y ** 2 + 36 * X ** 4 * Y * Z + 16 * X ** 4 * Z ** 2
+                        - 144 * X ** 3 * Y ** 2 * Z - 56 * X ** 3 * Y * Z ** 2 + 9 * X ** 2 * Y ** 3 * Z
+                        + 102 * X ** 2 * Y ** 2 * Z ** 2 + 4 * X ** 2 * Y * Z ** 3
+                        - 14 * X * Y ** 3 * Z ** 2 - 16 * X * Y ** 2 * Z ** 3
+                        + Y ** 4 * Z ** 2 + Y ** 3 * Z ** 3 + Y ** 2 * Z ** 4)
+
+
+def _points_and_tangents(prof):
+    return {tuple(str(c) for c in r.point): (r.type_string(), str(r.distinguished_tangent))
+            for r in prof.reports}
+
+
+@pytest.mark.parametrize("matrix, want", [
+    (None, {("0", "0", "1"): ("J10", "y"), ("0", "1", "0"): ("J10", "z"),
+            ("1", "0", "0"): ("X9", "None"), ("1", "2", "3"): ("X9", "None")}),
+    # a transport that is not a permutation moves the points and tangents
+    (((1, 2, -1), (0, 1, 3), (2, -1, 1)),
+     {("7", "-3", "1"): ("J10", "y + 3*z"), ("1", "-3", "-5"): ("J10", "2*x - y + z"),
+      ("2", "3", "-1"): ("X9", "None"), ("23", "3", "11"): ("X9", "None")}),
+], ids=["standard", "moved"])
+def test_two_33_and_two_quadruple_points_profile_as_admissible(matrix, want):
+    f = N_1122_OCTIC if matrix is None else apply_transport(N_1122_OCTIC, matrix)
+    prof = curve_profile(HomForm(f, 8))
+    assert prof.counts == {"a": 2, "b": 0, "c": 2, "d": 0}
+    assert prof.half_log_canonical and prof.mult3_certified
+    assert prof.issues == []
+    assert _points_and_tangents(prof) == want

@@ -9,7 +9,7 @@ import pytest
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
                            condition_ideal_graded_piece, condition_rows,
-                           divisibility_multiplicity, invert3, line_through,
+                           divisibility_multiplicity, evaluate_at, invert3, line_through,
                            normalize_point, quadruple_point_system, nn_point_system,
                            random_projectivity, satisfies_conditions,
                            sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
@@ -84,7 +84,7 @@ def test_basis_members_satisfy_conditions():
                     d = d.derivative("x")
                 for _ in range(j):
                     d = d.derivative("y")
-                assert d.evaluate({"x": p[0], "y": p[1], "z": p[2]}) == 0
+                assert evaluate_at(d, p) == 0
 
 
 def test_line_contact_restriction_vanishes_to_the_order():

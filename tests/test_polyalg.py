@@ -8,7 +8,7 @@ import pytest
 
 from octica.linalg import bareiss_echelon, determinantal_divisor, kernel_basis, rank
 from octica.poly import (MultiPoly, VariableMismatch, det_bareiss, monomial_basis,
-                         poly_gcd, resultant, resultant_sylvester,
+                         poly_gcd, pseudo_remainder, resultant, resultant_sylvester,
                          squarefree_decomposition, squarefree_part)
 
 V = ("x", "y", "z")
@@ -238,6 +238,30 @@ def test_division_and_product_match_sympy():
         prod = f * g
         assert _all_fractions(prod)
         assert to_sympy(prod) == to_sympy(f) * to_sympy(g), (str(f), str(g))
+
+
+def test_pseudo_remainder_matches_sympy():
+    # sympy.prem uses the same exponent deg A - deg B + 1 on lc(B); exact
+    # multiples and gapped dividends also take the steps where deg R drops by
+    # more than one
+    sympy, gens, to_sympy = _sympy_frame()
+    rng = random.Random(63)
+    checked = 0
+    while checked < 40:
+        main = rng.randrange(3)
+        f = random_poly(rng, max_deg=5, terms=5)
+        g = random_poly(rng, max_deg=3, terms=rng.randint(1, 4))
+        if g.degree_in(V[main]) < 0:
+            continue
+        if checked % 4 == 1:
+            f = f * g
+        elif checked % 4 == 2:
+            f = f.substitute({V[main]: MultiPoly.var(V, V[main]) ** 2})
+        ours = pseudo_remainder(f, g, V[main])
+        assert _all_fractions(ours)
+        theirs = sympy.prem(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[main])
+        assert to_sympy(ours) == sympy.Poly(theirs, *gens, domain="QQ"), (str(f), str(g), V[main])
+        checked += 1
 
 
 def test_resultant_matches_sympy_with_sign():

@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 
 from octica.linsys import HomForm, PLANE_VARS
-from octica.poly import MultiPoly
-from octica.singclass import (LOCAL_VARS, blow_up_strict_transform,
-                              classify, intersection_multiplicity_origin,
-                              localize, milnor_number,
-                              multiplicity, rational_roots,
-                              strict_germ_at_direction, tangent_cone_structure)
+from octica.poly import MultiPoly, squarefree_decomposition
+from octica.singclass import (LOCAL_VARS, classify, intersection_multiplicity_origin,
+                              localize, milnor_number, multiplicity, rational_roots,
+                              strict_germ_at_direction, tangent_cone)
 
 from local_checks import is_isolated
 
@@ -111,9 +109,9 @@ def test_multiplicity_and_cone():
     assert multiplicity(x ** 2 + y ** 3) == 2
     assert multiplicity(x ** 4 + x ** 2 * y ** 2 + y ** 4) == 4
     assert multiplicity(y + x ** 2) == 1
-    structure = tangent_cone_structure(x ** 4 + (x * y) ** 2 + y ** 4)
+    structure = squarefree_decomposition(tangent_cone(x ** 4 + (x * y) ** 2 + y ** 4))
     assert all(k == 1 for k, _ in structure)
-    structure = tangent_cone_structure(x ** 3 + x ** 2 * y ** 2)
+    structure = squarefree_decomposition(tangent_cone(x ** 3 + x ** 2 * y ** 2))
     assert structure[0][0] >= 2 or structure[-1][0] >= 2
 
 
@@ -129,11 +127,7 @@ def test_localize():
 
 
 def test_blow_up_of_tacnode_has_one_node():
-    # strict transform of x^2 + y^4 has a single singular direction, a node
-    charts = blow_up_strict_transform(x ** 2 + y ** 4)
-    sing_dirs = []
-    for chart in charts:
-        sing_dirs.extend(chart["singular_directions"])
+    # the strict transform of x^2 + y^4 at its one direction (0 : 1) is a node
     strict = strict_germ_at_direction(x ** 2 + y ** 4, (Fraction(0), Fraction(1)))
     assert classify(strict).type_string() == "A1"
 
@@ -145,12 +139,6 @@ def test_blow_up_of_nondegenerate_triple_contact_point():
     strict = strict_germ_at_direction(germ, (Fraction(1), Fraction(0)))
     assert multiplicity(strict) == 3
     assert classify(strict).type_string() == "D4"
-
-
-def test_blow_up_of_node_is_smooth():
-    charts = blow_up_strict_transform(x * y)
-    for chart in charts:
-        assert chart["singular_directions"] == []
 
 
 def test_milnor_examples():

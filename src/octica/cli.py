@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
                      MultiplicityAtPoint, NNPointWithTangent,
-                     condition_ideal_graded_piece)
+                     condition_ideal_graded_piece, evaluate_at, normalize_point)
 from .parsing import ParseError, parse_poly
 from .poly import MultiPoly
 
@@ -144,9 +144,19 @@ def cmd_classify(args) -> int:
 
     poly = _form(args.curve)
     if args.point:
-        report = classify_point(HomForm.of(poly), _point(args.point))
+        try:
+            curve, p = HomForm.of(poly), normalize_point(_point(args.point))
+        except AnchorError as e:
+            raise UserError(str(e)) from e
+        if evaluate_at(poly, p) != 0:
+            raise UserError(f"point ({':'.join(map(str, p))}) does not lie on the curve")
+        report = classify_point(curve, p)
     elif poly.degree_in("z") > 0:
         raise UserError("a trivariate curve needs --point; a germ must use only x and y")
+    elif poly.is_zero():
+        raise UserError("zero germ")
+    elif poly.coeff((0, 0, 0)):
+        raise UserError("germ does not pass through the origin")
     else:
         report = classify(poly)
     _emit(report.to_json())

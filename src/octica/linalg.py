@@ -15,6 +15,8 @@ from typing import Sequence
 
 from .poly import MultiPoly, grevlex_key, poly_gcd
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 # -- echelon over Q --------------------------------------------------------
 
@@ -67,16 +69,17 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int | None = None) -> list[l
     if not rows:
         if ncols is None:
             raise ValueError("need ncols for an empty matrix")
-        return [[Fraction(int(j == i)) for j in range(ncols)] for i in range(ncols)]
+        return [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            if e := red[r][fc]:
+                v[pc] = -e
         basis.append(v)
     return basis
 

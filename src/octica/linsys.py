@@ -15,8 +15,9 @@ are five kinds:
   * contact to a given order with a line, or with a parabola jet tangent to it.
 
 All but divisibility are a transported frame plus linear combinations of the
-local coefficients.  All arithmetic is exact; bases are echelonised against
-the canonical monomial order so output is reproducible.
+local coefficients.  All arithmetic is exact.  The basis of a graded piece is
+the unique reduced row echelon basis over the canonical monomial order, each
+form made primitive, so output is reproducible.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .linalg import kernel_basis, rref
+from .linalg import kernel_basis
 from .poly import MultiPoly, monomial_basis
 
 PLANE_VARS = ("x", "y", "z")
@@ -42,7 +43,7 @@ Point = tuple[Fraction, Fraction, Fraction]
 def normalize_point(coords: Sequence) -> Point:
     vals = [Fraction(c) for c in coords]
     if len(vals) != 3 or all(v == 0 for v in vals):
-        raise AnchorError(f"not a projective point: {coords}")
+        raise AnchorError(f"not a projective point: ({', '.join(map(str, coords))})")
     den = 1
     for v in vals:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -75,7 +76,7 @@ def evaluate_at(f: MultiPoly, p: Point) -> Fraction:
     return f.evaluate({"x": p[0], "y": p[1], "z": p[2]})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomForm:
     """A homogeneous form in x, y, z of a recorded degree."""
 
@@ -260,13 +261,6 @@ def _det3(m) -> Fraction:
 def apply_transport(f: MultiPoly, A: list[list[Fraction]]) -> MultiPoly:
     """f(A u) in the same frame: x, y, z become the linear forms of A's rows."""
     return f.substitute({v: MultiPoly.linear(PLANE_VARS, row) for v, row in zip(PLANE_VARS, A)})
-
-
-def random_projectivity(rng) -> list[list[Fraction]]:
-    while True:
-        A = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-        if _det3(A):
-            return A
 
 
 def transport_point(A: list[list[Fraction]], p: Point) -> Point:
@@ -464,24 +458,27 @@ class LinearSystem:
         return self.dim_forms - 1
 
 
-def _echelon_forms(vectors: list[list[Fraction]], degree: int) -> list[HomForm]:
-    basis = monomial_basis(3, degree)
-    red, _ = rref(vectors)
-    forms = []
-    for row in red:
-        if all(c == 0 for c in row):
-            continue
-        terms = {basis[i]: c for i, c in enumerate(row) if c != 0}
-        forms.append(HomForm(MultiPoly(PLANE_VARS, terms).primitive(), degree))
-    return forms
-
-
 def condition_ideal_graded_piece(conditions: Sequence[AnchoredCondition], degree: int) -> LinearSystem:
-    """Exact basis of the degree-d forms satisfying every condition."""
+    """Exact basis of the degree-d forms satisfying every condition.
+
+    The basis is the unique reduced row echelon basis of the kernel, over the
+    canonical monomial order, with each form made primitive.  One elimination
+    gives it: `kernel_basis` of the condition rows with their columns
+    reversed picks each row's pivot at its last nonzero column.  So the
+    kernel vector of a free column f has a 1 at f, zeros at every other free
+    column, and nonzeros only at pivot columns to the right of f.  Read back
+    in the canonical order and listed by increasing f, these vectors are
+    exactly the rows of the reduced row echelon form of the kernel.
+    """
     if degree > 12:
         raise AnchorError("degree out of supported range")
-    ker = kernel_basis(condition_rows(conditions, degree), ncols=len(monomial_basis(3, degree)))
-    return LinearSystem(degree, _echelon_forms(ker, degree))
+    basis = monomial_basis(3, degree)
+    rows = [row[::-1] for row in condition_rows(conditions, degree)]
+    forms = []
+    for vec in reversed(kernel_basis(rows, ncols=len(basis))):
+        terms = {exp: c for exp, c in zip(basis, reversed(vec)) if c}
+        forms.append(HomForm(MultiPoly(PLANE_VARS, terms).primitive(), degree))
+    return LinearSystem(degree, forms)
 
 
 def satisfies_conditions(form: HomForm, conditions: Sequence[AnchoredCondition]) -> bool:
@@ -508,71 +505,3 @@ def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) ->
 def common_divisibility(forms: Sequence[MultiPoly], l: MultiPoly) -> int:
     """Largest k with l^k dividing every form (the general member's order)."""
     return min(divisibility_multiplicity(f, l) for f in forms)
-
-
-# -- specific systems used throughout the catalogue ---------------------------
-
-
-def quadruple_point_system(point=(0, 0, 1), degree: int = 8) -> LinearSystem:
-    return condition_ideal_graded_piece([MultiplicityAtPoint(point, 4)], degree)
-
-
-def nn_point_system(point=(0, 0, 1), tangent: MultiPoly | None = None, n: int = 3,
-                    degree: int = 8, degenerate: bool = False) -> LinearSystem:
-    if tangent is None:
-        tangent = MultiPoly.var(PLANE_VARS, "y")
-    return condition_ideal_graded_piece(
-        [NNPointWithTangent(point, tangent, n, Fraction(0) if degenerate else None)], degree)
-
-
-def sextic_quadruple_system() -> LinearSystem:
-    """Sextics with a quadruple point at the standard anchor (18 forms)."""
-    return quadruple_point_system(degree=6)
-
-
-def sextic_33_fixed_tangent(degenerate: bool = False) -> LinearSystem:
-    """Sextics with a [3;3]-point at the standard flag; optionally with the
-    degenerate second-order datum pinned (16 resp. 14 forms)."""
-    return nn_point_system(degree=6, degenerate=degenerate)
-
-
-def sextic_degenerate_quadruple_system() -> LinearSystem:
-    """Sextics with a quadruple point whose cone contains the fixed tangent
-    direction doubly (16 forms)."""
-    y = MultiPoly.var(PLANE_VARS, "y")
-    return condition_ideal_graded_piece([ConeDirection((0, 0, 1), y, 4, 2)], 6)
-
-
-def conic_pencil_through_two_flags(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None) -> LinearSystem:
-    """Conics through two point-with-tangent flags (a pencil: 2 forms)."""
-    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
-    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
-    return condition_ideal_graded_piece(
-        [ConeDirection(p1, t1, 1, 1), ConeDirection(p2, t2, 1, 1)], 2)
-
-
-def two_33_sextic_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None) -> LinearSystem:
-    """Sextics with [3;3]-points at two flags (4 forms: products of three
-    members of the conic pencil through the flags)."""
-    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
-    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
-    return condition_ideal_graded_piece(
-        [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3)], 6)
-
-
-def two_33_sextic_pinned_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None,
-                                pencil_members=(1, 2)) -> LinearSystem:
-    """Sextics with two [3;3]-points divisible by two fixed members of the
-    conic pencil: the residual pencil (2 forms, projective dimension 1)."""
-    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
-    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
-    pencil = conic_pencil_through_two_flags(p1, t1, p2, t2)
-    if pencil.dim_forms != 2:
-        raise AnchorError("expected a pencil of conics through the two flags")
-    q0, q1 = pencil.basis
-    k0, k1 = pencil_members
-    c1 = HomForm(q0.poly * k0 + q1.poly, 2)
-    c2 = HomForm(q0.poly * k1 + q1.poly, 2)
-    return condition_ideal_graded_piece(
-        [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3),
-         ContainsCurve(HomForm(c1.poly * c2.poly, 4), 1)], 6)

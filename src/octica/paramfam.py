@@ -202,8 +202,10 @@ def compare_kernels_at(M: ParamMatrix, values: dict[str, Fraction]) -> KernelCom
     generic = poly_kernel_basis(M.entries, ncols, M.params)
     limit = []
     vals = {p: Fraction(values[p]) for p in M.params}
+    zero = Fraction(0)
     for vec in generic:
-        limit.append([e.evaluate(vals) for e in vec])
+        # one shared zero: a result keeps no fresh Fraction(0) per entry
+        limit.append([e.evaluate(vals) or zero for e in vec])
     limit_rank = rank(limit) if limit else 0
     inclusion = all(_span_contains(special, v) for v in limit)
     if not inclusion:

@@ -595,30 +595,6 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
 # -- resultants ----------------------------------------------------------
 
 
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, main: str) -> list[list[MultiPoly]]:
-    """Sylvester matrix in `main`, coefficients of f in the top rows."""
-    df = f.degree_in(main)
-    dg = g.degree_in(main)
-    if df <= 0 and dg <= 0:
-        raise ValueError("both polynomials are constant in the eliminated variable")
-    cf = [f.coeff_of(main, k) for k in range(df + 1)]
-    cg = [g.coeff_of(main, k) for k in range(dg + 1)]
-    n = df + dg
-    zero = MultiPoly.zero(f.vars)
-    rows: list[list[MultiPoly]] = []
-    for r in range(dg):
-        row = [zero] * n
-        for k in range(df + 1):
-            row[r + k] = cf[df - k]
-        rows.append(row)
-    for r in range(df):
-        row = [zero] * n
-        for k in range(dg + 1):
-            row[r + k] = cg[dg - k]
-        rows.append(row)
-    return rows
-
-
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
     """Fraction-free determinant; entries must support exact division."""
     n = len(rows)
@@ -645,15 +621,6 @@ def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
     return m[n - 1][n - 1] * sign
 
 
-def resultant_sylvester(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
-    """Reference implementation: Bareiss determinant of the Sylvester matrix.
-
-    Sign convention is frozen by the row layout of `sylvester_matrix`.
-    """
-    _check_resultant_args(f, g, main)
-    return det_bareiss(sylvester_matrix(f, g, main))
-
-
 def _check_resultant_args(f: MultiPoly, g: MultiPoly, main: str) -> None:
     if f.vars != g.vars:
         raise VariableMismatch(f"frames differ: {f.vars} vs {g.vars}")
@@ -664,7 +631,8 @@ def _check_resultant_args(f: MultiPoly, g: MultiPoly, main: str) -> None:
 
 
 def resultant(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
-    """Resultant eliminating `main`, equal to `resultant_sylvester` including sign.
+    """Resultant eliminating `main`, equal including sign to the determinant of
+    the Sylvester matrix with the coefficients of f in the top rows.
 
     Computed by a subresultant remainder sequence, which is much faster than
     the determinant on the sizes appearing in curve analysis.

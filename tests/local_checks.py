@@ -1,6 +1,12 @@
-"""Test-only oracles built on the library's local intersection numbers."""
-from octica.linsys import HomForm, evaluate_at, normalize_point
-from octica.poly import MultiPoly, squarefree_decomposition
+"""Test-only helpers: oracles built on the library's local intersection
+numbers, the Sylvester-determinant resultant, random projectivities and the
+small linear systems that the dimension tables quote."""
+from fractions import Fraction
+
+from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LinearSystem,
+                           MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS, _det3,
+                           condition_ideal_graded_piece, evaluate_at, normalize_point)
+from octica.poly import MultiPoly, _check_resultant_args, det_bareiss, squarefree_decomposition
 from octica.singclass import intersection_multiplicity_origin, localize
 
 
@@ -27,3 +33,114 @@ def is_isolated(f: MultiPoly) -> bool:
         if mult >= 2 and piece.evaluate({"x": 0, "y": 0}) == 0:
             return False
     return True
+
+
+# -- resultants ----------------------------------------------------------------
+
+
+def sylvester_matrix(f: MultiPoly, g: MultiPoly, main: str) -> list[list[MultiPoly]]:
+    """Sylvester matrix in `main`, coefficients of f in the top rows."""
+    df = f.degree_in(main)
+    dg = g.degree_in(main)
+    if df <= 0 and dg <= 0:
+        raise ValueError("both polynomials are constant in the eliminated variable")
+    cf = [f.coeff_of(main, k) for k in range(df + 1)]
+    cg = [g.coeff_of(main, k) for k in range(dg + 1)]
+    n = df + dg
+    zero = MultiPoly.zero(f.vars)
+    rows: list[list[MultiPoly]] = []
+    for r in range(dg):
+        row = [zero] * n
+        for k in range(df + 1):
+            row[r + k] = cf[df - k]
+        rows.append(row)
+    for r in range(df):
+        row = [zero] * n
+        for k in range(dg + 1):
+            row[r + k] = cg[dg - k]
+        rows.append(row)
+    return rows
+
+
+def resultant_sylvester(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
+    """Reference implementation: Bareiss determinant of the Sylvester matrix.
+
+    Sign convention is frozen by the row layout of `sylvester_matrix`.
+    """
+    _check_resultant_args(f, g, main)
+    return det_bareiss(sylvester_matrix(f, g, main))
+
+
+# -- projectivities and the systems quoted in the dimension tables -------------
+
+
+def random_projectivity(rng) -> list[list[Fraction]]:
+    while True:
+        A = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
+        if _det3(A):
+            return A
+
+
+def quadruple_point_system(point=(0, 0, 1), degree: int = 8) -> LinearSystem:
+    return condition_ideal_graded_piece([MultiplicityAtPoint(point, 4)], degree)
+
+
+def nn_point_system(point=(0, 0, 1), tangent: MultiPoly | None = None, n: int = 3,
+                    degree: int = 8, degenerate: bool = False) -> LinearSystem:
+    if tangent is None:
+        tangent = MultiPoly.var(PLANE_VARS, "y")
+    return condition_ideal_graded_piece(
+        [NNPointWithTangent(point, tangent, n, Fraction(0) if degenerate else None)], degree)
+
+
+def sextic_quadruple_system() -> LinearSystem:
+    """Sextics with a quadruple point at the standard anchor (18 forms)."""
+    return quadruple_point_system(degree=6)
+
+
+def sextic_33_fixed_tangent(degenerate: bool = False) -> LinearSystem:
+    """Sextics with a [3;3]-point at the standard flag; optionally with the
+    degenerate second-order datum pinned (16 resp. 14 forms)."""
+    return nn_point_system(degree=6, degenerate=degenerate)
+
+
+def sextic_degenerate_quadruple_system() -> LinearSystem:
+    """Sextics with a quadruple point whose cone contains the fixed tangent
+    direction doubly (16 forms)."""
+    y = MultiPoly.var(PLANE_VARS, "y")
+    return condition_ideal_graded_piece([ConeDirection((0, 0, 1), y, 4, 2)], 6)
+
+
+def conic_pencil_through_two_flags(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None) -> LinearSystem:
+    """Conics through two point-with-tangent flags (a pencil: 2 forms)."""
+    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
+    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
+    return condition_ideal_graded_piece(
+        [ConeDirection(p1, t1, 1, 1), ConeDirection(p2, t2, 1, 1)], 2)
+
+
+def two_33_sextic_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None) -> LinearSystem:
+    """Sextics with [3;3]-points at two flags (4 forms: products of three
+    members of the conic pencil through the flags)."""
+    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
+    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
+    return condition_ideal_graded_piece(
+        [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3)], 6)
+
+
+def two_33_sextic_pinned_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None,
+                                pencil_members=(1, 2)) -> LinearSystem:
+    """Sextics with two [3;3]-points divisible by two fixed members of the
+    conic pencil: the residual pencil (2 forms, projective dimension 1)."""
+    t1 = t1 if t1 is not None else MultiPoly.var(PLANE_VARS, "y")
+    t2 = t2 if t2 is not None else MultiPoly.var(PLANE_VARS, "z")
+    pencil = conic_pencil_through_two_flags(p1, t1, p2, t2)
+    if pencil.dim_forms != 2:
+        raise AnchorError("expected a pencil of conics through the two flags")
+    q0, q1 = pencil.basis
+    k0, k1 = pencil_members
+    c1 = HomForm(q0.poly * k0 + q1.poly, 2)
+    c2 = HomForm(q0.poly * k1 + q1.poly, 2)
+    return condition_ideal_graded_piece(
+        [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3),
+         ContainsCurve(HomForm(c1.poly * c2.poly, 4), 1)], 6)

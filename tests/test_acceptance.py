@@ -79,8 +79,8 @@ def test_criterion_3_normal_locus_dimension_loop():
 
 def test_criterion_4_nonnormal_dimension_table():
     with Criterion(4, "non-normal strata dimensions via the quoted sextic systems", 30):
-        from octica.linsys import (sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
-                                   sextic_quadruple_system, two_33_sextic_pinned_system)
+        from local_checks import (sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
+                                  sextic_quadruple_system, two_33_sextic_pinned_system)
         assert sextic_quadruple_system().dim_projective == 17
         assert sextic_33_fixed_tangent().dim_projective == 15
         assert sextic_degenerate_quadruple_system().dim_projective == 15
@@ -192,7 +192,8 @@ def test_criterion_10_property_suites():
             for vec in kernel_basis(rows):
                 assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows)
 
-        from octica.linsys import random_projectivity, transport_point, invert3
+        from local_checks import random_projectivity
+        from octica.linsys import transport_point, invert3
         configs = [
             [MultiplicityAtPoint((0, 0, 1), 4)],
             [MultiplicityAtPoint((0, 0, 1), 2), MultiplicityAtPoint((1, 0, 0), 2)],

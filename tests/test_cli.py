@@ -1,4 +1,5 @@
 """CLI behaviour: subcommands, JSON output, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,35 @@ def test_linsys_command(capsys, constraint_file):
     data = json.loads(capsys.readouterr().out)
     assert data["dim_forms"] == 35
     validate(data, LINSYS_OUTPUT_SCHEMA)
+
+
+BASIS_FILES = {
+    "quadruple": ({"degree": 8, "conditions": [
+        {"kind": "multiplicity", "point": ["0", "0", "1"], "order": 4}]},
+        "2c7b2acbb73732de8af0b3b81e1cab8ea4d19e16972731a4f6093654625f7c0b"),
+    "mixed": ({"degree": 8, "conditions": [
+        {"kind": "nn_point", "point": ["1", "2", "1"], "tangent": "x - y + z", "order": 3,
+         "direction": "2/3"},
+        {"kind": "multiplicity", "point": ["2", "-1", "3"], "order": 3},
+        {"kind": "line_contact", "point": ["1", "1", "-1"], "line": "x - y", "order": 4}]},
+        "03b74a6712ec9def812925ab1a95f100dc3eb4a353eaceab38004216b1beedf1"),
+    "conic": ({"degree": 7, "conditions": [
+        {"kind": "contains", "form": "y*z - x^2"},
+        {"kind": "cone_direction", "point": ["1", "1", "1"], "tangent": "x - z",
+         "multiplicity": 3, "power": 2}]},
+        "cdf6d8b51b11bdea49bb237d435c6fa72846ff422a03b7466df4d36e94885269"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_FILES))
+def test_linsys_basis_output_is_pinned(capsys, tmp_path, name):
+    # sha256 of the full `linsys --basis` output: a change to the elimination
+    # must leave every printed basis byte-identical
+    data, digest = BASIS_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert main(["linsys", "--constraints", str(path), "--basis"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_classify_command(capsys):
@@ -173,17 +203,19 @@ def test_user_errors_exit_1(capsys, tmp_path):
     assert main(["linsys", "--constraints", str(malformed)]) == 1
 
 
-@pytest.mark.parametrize("curve, message", [
-    ("x^2 + y^2 + 1", "germ does not pass through the origin"),
-    ("0", "zero germ"),
-], ids=["off-origin", "zero"])
-def test_classify_rejects_germs_off_the_origin(capsys, curve, message):
-    # the classifier raises these itself, so they are internal errors (exit 2)
-    assert main(["classify", "--curve", curve]) == 2
-    assert capsys.readouterr().err == f"internal error: ValueError: {message}\n"
-    assert main(["--json-errors", "classify", "--curve", curve]) == 2
-    assert json.loads(capsys.readouterr().err) == {"error": "internal", "type": "ValueError",
-                                                  "message": message}
+@pytest.mark.parametrize("args, message", [
+    (["--curve", "x^2 + y^2 + 1"], "germ does not pass through the origin"),
+    (["--curve", "0"], "zero germ"),
+    (["--curve", "x*y*z", "--point", "1,1,1"], "point (1:1:1) does not lie on the curve"),
+    (["--curve", "x*y*z", "--point", "2,4,-6"], "point (1:2:-3) does not lie on the curve"),
+    (["--curve", "x*y*z", "--point", "0,0,0"], "not a projective point: (0, 0, 0)"),
+], ids=["off-origin", "zero", "off-curve", "off-curve-normalised", "zero-vector"])
+def test_classify_rejects_germs_off_the_origin(capsys, args, message):
+    # invalid input, caught before the classifier runs (exit 1)
+    assert main(["classify"] + args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["--json-errors", "classify"] + args) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "user", "message": message}
 
 
 def test_verify_single_lemma(capsys):

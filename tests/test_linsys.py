@@ -2,7 +2,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -10,12 +10,13 @@ from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, L
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
                            condition_ideal_graded_piece, condition_rows,
                            divisibility_multiplicity, evaluate_at, invert3, line_through,
-                           normalize_point, quadruple_point_system, nn_point_system,
-                           random_projectivity, satisfies_conditions,
-                           sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
-                           sextic_quadruple_system, transport_point,
-                           two_33_sextic_pinned_system, two_33_sextic_system)
+                           normalize_point, satisfies_conditions, transport_point)
 from octica.poly import MultiPoly, monomial_basis
+
+from local_checks import (nn_point_system, quadruple_point_system, random_projectivity,
+                          sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
+                          sextic_quadruple_system, two_33_sextic_pinned_system,
+                          two_33_sextic_system)
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -220,3 +221,73 @@ def test_inconsistent_anchor_raises():
 def test_degree_cap():
     with pytest.raises(AnchorError):
         condition_ideal_graded_piece([], 13)
+
+
+# -- graded pieces against an independent reduced echelon basis ----------------
+
+
+def _sympy_echelon_basis(rows, degree):
+    """Oracle: sympy's nullspace of the rows, then its reduced row echelon
+    form, each row scaled to coprime integers with a positive coefficient at
+    its grevlex-leading monomial (the smallest power of z, then of y)."""
+    sp = pytest.importorskip("sympy")
+    exps = monomial_basis(3, degree)
+    if rows:
+        kernel = sp.Matrix([[sp.Rational(c.numerator, c.denominator) for c in row]
+                            for row in rows]).nullspace()
+    else:
+        kernel = [sp.eye(len(exps)).col(i) for i in range(len(exps))]
+    if not kernel:
+        return []
+    red, _ = sp.Matrix.hstack(*kernel).T.rref()
+    out = []
+    for i in range(red.rows):
+        row = [Fraction(int(c.p), int(c.q)) for c in red.row(i)]
+        scale = Fraction(lcm(*(c.denominator for c in row)), gcd(*(c.numerator for c in row)))
+        lead = min((j for j, c in enumerate(row) if c), key=lambda j: exps[j][::-1])
+        out.append([c * scale if row[lead] > 0 else -c * scale for c in row])
+    return out
+
+
+def _differential_cases():
+    rng = random.Random(20261019)
+    cases = []
+    for degree in range(1, 10):
+        # every kind and variant of condition alone, and one pair
+        conds = _golden_conditions(rng, degree)
+        cases += [([c], degree) for c in conds]
+        cases.append((rng.sample(conds, 2), degree))
+    p, line = _non_axis_flag(rng)
+    conic = HomForm.of(line * line_through(normalize_point((2, -1, 3)), p) + Z * Z)
+    cases += [
+        ([], 4),                                                      # no conditions
+        ([MultiplicityAtPoint(p, 3)] * 2, 6),                         # a duplicated condition
+        ([MultiplicityAtPoint(p, 6), NNPointWithTangent(p, line, 3)], 5),   # empty system
+        ([ContainsCurve(conic), MultiplicityAtPoint((1, 1, 1), 2)], 5),     # a containment
+    ]
+    return cases
+
+
+def test_graded_piece_is_the_reduced_echelon_basis_of_the_kernel():
+    empty = 0
+    for conds, degree in _differential_cases():
+        system = condition_ideal_graded_piece(conds, degree)
+        want = _sympy_echelon_basis(condition_rows(conds, degree), degree)
+        exps = monomial_basis(3, degree)
+        assert [[f.poly.coeff(e) for e in exps] for f in system.basis] == want, (conds, degree)
+        empty += not want
+    assert empty >= 1
+
+
+def test_graded_piece_runs_one_elimination(monkeypatch):
+    import octica.linalg as linalg
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(len(rows)) or rref(rows))
+    p, line = _non_axis_flag(random.Random(5))
+    system = condition_ideal_graded_piece([NNPointWithTangent(p, line, 3),
+                                           MultiplicityAtPoint((1, 1, 1), 2)], 8)
+    assert (system.dim_forms, calls) == (30, [15])
+    calls.clear()
+    assert condition_ideal_graded_piece([], 8).dim_forms == 45
+    assert calls == []

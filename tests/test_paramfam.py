@@ -261,3 +261,12 @@ def test_four_points_certificate_symmetric_rerun():
     assert str(a.base_conic) == str(b.base_conic)
     assert [str(p) for p in a.coincidence_polys] == [str(p) for p in b.coincidence_polys]
     assert a.holds and b.holds
+
+
+def test_limit_vectors_share_one_zero():
+    # a kept result holds one zero object, not a fresh Fraction(0) per entry
+    _, matrix = two_flag_matrix()
+    cmp_ = compare_kernels_at(matrix, {"t": Fraction(0)})
+    for kernel in (cmp_.limit_kernel, cmp_.special_kernel):
+        zeros = [c for v in kernel for c in v if c == 0]
+        assert zeros and len({id(c) for c in zeros}) == 1

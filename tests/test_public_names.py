@@ -11,10 +11,6 @@ from pathlib import Path
 import octica
 
 TEST_ONLY = {
-    "linsys": {"random_projectivity", "sextic_quadruple_system", "sextic_33_fixed_tangent",
-               "sextic_degenerate_quadruple_system", "two_33_sextic_system",
-               "two_33_sextic_pinned_system"},
-    "poly": {"resultant_sylvester"},
     "strata": {"hodge_hasse_edges", "normal_pipelines", "nonnormal_pipelines"},
 }
 

@@ -130,7 +130,10 @@ def cmd_linsys(args) -> int:
     degree, conditions = load_constraints(args.constraints)
     if args.degree is not None:
         degree = args.degree
-    system = condition_ideal_graded_piece(conditions, degree)
+    try:
+        system = condition_ideal_graded_piece(conditions, degree)
+    except AnchorError as e:
+        raise UserError(str(e)) from e
     out = {"degree": degree, "dim_forms": system.dim_forms,
            "dim_projective": system.dim_projective}
     if args.basis:
@@ -170,7 +173,10 @@ def cmd_profile(args) -> int:
     if not poly.is_homogeneous():
         raise UserError("profile needs a homogeneous curve in x, y, z")
     hints = [_point(p) for p in args.point or []]
-    prof = curve_profile(HomForm.of(poly), hint_points=hints)
+    try:
+        prof = curve_profile(HomForm.of(poly), hint_points=hints)
+    except AnchorError as e:
+        raise UserError(str(e)) from e
     _emit(prof.to_json())
     return 0
 

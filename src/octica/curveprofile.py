@@ -27,7 +27,7 @@ PROJECTIVITIES = [[[Fraction(c) for c in row] for row in m] for m in (
 )]
 
 
-@dataclass
+@dataclass(slots=True)
 class CurveSingularityProfile:
     curve: HomForm
     nonnormal_degree: int
@@ -113,7 +113,13 @@ def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int) -> bool:
     return False
 
 
+def _show(p: Point) -> str:
+    return f"({':'.join(map(str, p))})"
+
+
 def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
+    """The profile of a plane curve; a hint point that is not a projective
+    point raises AnchorError."""
     f = curve.poly
     if f.is_zero():
         raise ValueError("zero curve")
@@ -133,12 +139,7 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
     if issues:
         return profile
 
-    hints = []
-    for p in hint_points:
-        try:
-            hints.append(normalize_point(p))
-        except Exception:
-            issues.append(f"bad hint point {p}")
+    hints = [normalize_point(p) for p in hint_points]
 
     # locate multiplicity >= 3 points of the part that may carry them
     if n == 0:
@@ -169,7 +170,7 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
         if w:
             counts[w] += 1
         if not rep.is_half_log_canonical:
-            issues.append(f"inadmissible singularity at {rep.point}: {rep.type_string()}")
+            issues.append(f"inadmissible singularity at {_show(rep.point)}: {rep.type_string()}")
         if rep.milnor is not None:
             total_mu += rep.milnor
     profile.counts = counts
@@ -198,10 +199,10 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, issues: list[str]) ->
             if evaluate_at(v, p) != 0:
                 continue
             if u.total_degree() >= 1 and evaluate_at(u, p) == 0:
-                issues.append(f"reduced part passes through a singular point {p} of the doubled part")
+                issues.append(f"reduced part passes through a singular point {_show(p)} of the doubled part")
             rep = classify(localize(HomForm.of(v), p))
             if rep.type_string() != "A1":
-                issues.append(f"doubled part has a non-nodal singularity at {p}")
+                issues.append(f"doubled part has a non-nodal singularity at {_show(p)}")
     # contact between reduced and doubled part at most 2 everywhere
     if u.total_degree() >= 1:
         if not _contact_at_most(u, v, 2):

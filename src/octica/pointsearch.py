@@ -9,7 +9,8 @@ directions, each direction is solved exactly, and the certificate checks that
 non-constant survives in the eliminated picture, and (b) on every rational
 direction the restricted system had only rational solutions.  Genuine common
 zeros survive every elimination, extraneous resultant factors do not, so one
-clean elimination direction certifies the whole system.
+clean elimination direction certifies the whole system, and the search stops
+at the first axis that certifies.
 """
 from __future__ import annotations
 
@@ -50,10 +51,10 @@ def _direction_gcd(polys, main: str) -> MultiPoly | None:
     return g
 
 
-def _roots_of_binary(g: MultiPoly, u: str, v: str) -> tuple[list[tuple[Fraction, Fraction]], MultiPoly]:
-    """Rational projective roots of a binary form, plus the squarefree cofactor
-    left after dividing out the rational root factors."""
-    gg = squarefree_part(g.rename((u, v)))
+def _roots_of_binary(gg: MultiPoly, u: str, v: str) -> tuple[list[tuple[Fraction, Fraction]], MultiPoly]:
+    """Rational projective roots of a squarefree binary form in the frame
+    (u, v), plus the cofactor left after dividing out the rational root
+    factors."""
     out = []
     leftover = gg
     kv = min(exp[1] for exp in gg.terms)
@@ -87,15 +88,17 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
     for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         record(p)
 
-    certified = False
+    # The first axis that certifies ends the search: every common zero off
+    # its vertex lies on a direction it solved, and the vertex is recorded
+    # above, so a later axis could only record points already found.
     for axis, (u, v) in (("x", ("y", "z")), ("y", ("x", "z")), ("z", ("x", "y"))):
         g = _direction_gcd(polys, axis)
         if g is None or g.is_zero():
             continue
         if g.is_constant():
-            certified = True
-            continue
-        dirs, _ = _roots_of_binary(g, u, v)
+            return found, True
+        leftover = squarefree_part(g.rename((u, v)))
+        dirs, _ = _roots_of_binary(leftover, u, v)
         all_dirs_clean = True
         for (du, dv) in dirs:
             pts, clean = _points_on_direction(polys, axis, u, v, du, dv)
@@ -103,7 +106,6 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
                 record(p)
             all_dirs_clean = all_dirs_clean and clean
         # strip the direction factors of every found point from the gcd
-        leftover = squarefree_part(g.rename((u, v)))
         for p in found:
             coords = dict(zip(PLANE_VARS, p))
             lu, lv = coords[u], coords[v]
@@ -114,8 +116,8 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
             if r.is_zero():
                 leftover = q
         if leftover.is_constant() and all_dirs_clean:
-            certified = True
-    return found, certified
+            return found, True
+    return found, False
 
 
 def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:
@@ -138,7 +140,7 @@ def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:
         return [], False
     if g.is_constant():
         return [], True
-    roots, leftover = _roots_of_binary(g, axis, tname)
+    roots, leftover = _roots_of_binary(squarefree_part(g.rename((axis, tname))), axis, tname)
     out = []
     for (ta, tt) in roots:
         coords = {axis: ta, u: du * tt, v: dv * tt}

@@ -271,7 +271,7 @@ def is_rational_square(q: Fraction) -> bool:
 # -- the classifier -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SingularityReport:
     kind: str                      # "Smooth", "A", "D", "E", "X", "Y", "J10", "J2",
     #                                "A_inf", "D_inf", "J2_inf", "X_inf", "Y_r_inf",

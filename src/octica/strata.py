@@ -317,7 +317,13 @@ def simply_elliptic_edges(nodes: list[StratumLabel]) -> list[tuple[StratumLabel,
     return E
 
 
-@dataclass
+# Built once: the labels are frozen and the edges are tuples, so every
+# simply elliptic graph shares them and a kept graph costs two lists.
+_SIMPLY_ELLIPTIC_NODES = tuple(simply_elliptic_nodes())
+_SIMPLY_ELLIPTIC_EDGES = tuple(simply_elliptic_edges(list(_SIMPLY_ELLIPTIC_NODES)))
+
+
+@dataclass(slots=True)
 class DegenerationGraph:
     nodes: list[StratumLabel]
     edges: list[tuple[StratumLabel, StratumLabel]]
@@ -334,8 +340,7 @@ class DegenerationGraph:
 
 def degeneration_graph(scope: str = "simply-elliptic") -> DegenerationGraph:
     if scope == "simply-elliptic":
-        nodes = simply_elliptic_nodes()
-        return DegenerationGraph(nodes, simply_elliptic_edges(nodes))
+        return DegenerationGraph(list(_SIMPLY_ELLIPTIC_NODES), list(_SIMPLY_ELLIPTIC_EDGES))
     if scope == "full-rules":
         labels = inhabited_normal_labels()
         edges = []

@@ -22,7 +22,7 @@ Z = MultiPoly.var(PLANE_VARS, "z")
 DEFAULT_SEED = 77003
 
 
-@dataclass
+@dataclass(slots=True)
 class LemmaCheckResult:
     lemma_id: str
     instances_checked: int

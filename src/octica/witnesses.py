@@ -625,7 +625,7 @@ WITNESS_BUILDERS: dict[str, tuple[StratumLabel, callable]] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Witness:
     label: StratumLabel
     curve: HomForm

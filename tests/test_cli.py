@@ -184,7 +184,7 @@ def test_catalog_witnesses_use_the_library_seed(monkeypatch):
     assert seeds and set(seeds) == {7}
 
 
-def test_user_errors_exit_1(capsys, tmp_path):
+def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
     assert main(["classify", "--curve", "x +* y"]) == 1
     err = capsys.readouterr().err
     assert "position" in err
@@ -201,6 +201,25 @@ def test_user_errors_exit_1(capsys, tmp_path):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"degree": 8, "conditions": [{"kind": "mystery"}]}))
     assert main(["linsys", "--constraints", str(malformed)]) == 1
+
+    # out-of-range degrees and a containment above the system's degree
+    capsys.readouterr()
+    assert main(["linsys", "--constraints", constraint_file, "--degree", "13"]) == 1
+    assert capsys.readouterr().err == "error: degree out of supported range\n"
+    too_big = tmp_path / "too_big.json"
+    too_big.write_text(json.dumps({"degree": 2, "conditions": [{"kind": "contains", "form": "x^3+y^3"}]}))
+    assert main(["linsys", "--constraints", str(too_big)]) == 1
+    assert capsys.readouterr().err == "error: containment divisor exceeds the ambient degree\n"
+
+    # a hint point that is no projective point is invalid input, not a verdict
+    assert main(["profile", "--curve", "x*y*z", "--point", "0,0,0"]) == 1
+    assert capsys.readouterr().err == "error: not a projective point: (0, 0, 0)\n"
+
+
+def test_profile_issues_print_projective_points(capsys):
+    assert main(["profile", "--curve", "x^5+y^5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["issues"] == ["inadmissible singularity at (0:0:1): NotHLC(multiplicity 5 exceeds 4)"]
 
 
 @pytest.mark.parametrize("args, message", [

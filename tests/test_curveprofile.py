@@ -1,9 +1,13 @@
 """Whole-curve profiles: location, classification, conductor checks."""
 import pytest
 
-from octica.curveprofile import curve_profile
-from octica.linsys import HomForm, PLANE_VARS, apply_transport
-from octica.poly import MultiPoly
+from octica import pointsearch
+from octica.curveprofile import _second_partials, curve_profile
+from octica.linsys import HomForm, PLANE_VARS, apply_transport, evaluate_at, normalize_point
+from octica.pointsearch import (_direction_gcd, _points_on_direction, _roots_of_binary,
+                                common_rational_zeros)
+from octica.poly import MultiPoly, squarefree_part
+from octica.witnesses import build_witness
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -121,3 +125,80 @@ def test_two_33_and_two_quadruple_points_profile_as_admissible(matrix, want):
     assert prof.half_log_canonical and prof.mult3_certified
     assert prof.issues == []
     assert _points_and_tangents(prof) == want
+
+
+AXES = (("x", ("y", "z")), ("y", ("x", "z")), ("z", ("x", "y")))
+
+
+def all_axes_zeros(polys):
+    """The point search over every elimination axis, with no early stop: the
+    reference for a search that stops at its first certified axis."""
+    found = []
+
+    def record(p):
+        q = normalize_point(p)
+        if q not in found and all(evaluate_at(f, q) == 0 for f in polys):
+            found.append(q)
+
+    for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        record(p)
+    certified = False
+    for axis, (u, v) in AXES:
+        g = _direction_gcd(polys, axis)
+        if g is None or g.is_zero():
+            continue
+        if g.is_constant():
+            certified = True
+            continue
+        leftover = squarefree_part(g.rename((u, v)))
+        dirs, _ = _roots_of_binary(leftover, u, v)
+        clean = True
+        for du, dv in dirs:
+            pts, ok = _points_on_direction(polys, axis, u, v, du, dv)
+            for p in pts:
+                record(p)
+            clean = clean and ok
+        for p in found:
+            coords = dict(zip(PLANE_VARS, p))
+            lu, lv = coords[u], coords[v]
+            if lu or lv:
+                q, r = leftover.divmod_by(MultiPoly.linear((u, v), (lv, -lu)).primitive())
+                if r.is_zero():
+                    leftover = q
+        certified = certified or (leftover.is_constant() and clean)
+    return found, certified
+
+
+SEARCH_CURVES = {
+    "readme-octic": lambda: N_1122_OCTIC,
+    "three-conics": lambda: ((Y * Z - X * X) * (Y * Z - 2 * X * X) * (Y * Z - 3 * X * X)).primitive(),
+    # certified on the second axis, on the first, and on none
+    "N_12_pp": lambda: build_witness("N_12_pp").curve.poly,
+    "N_112_ppp": lambda: build_witness("N_112_ppp").curve.poly,
+    "M_2_2": lambda: build_witness("M_2_2").curve.poly,
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_CURVES)
+def test_point_search_matches_all_axes(name):
+    system = _second_partials(SEARCH_CURVES[name]())
+    assert common_rational_zeros(system) == all_axes_zeros(system)
+
+
+def test_point_search_stops_at_its_first_certificate(monkeypatch):
+    # the README octic certifies on the x axis: no resultant eliminates y or z
+    system = _second_partials(N_1122_OCTIC)
+    eliminated = []
+    resultant = pointsearch.resultant
+
+    def counted(f, g, main):
+        eliminated.append(main)
+        return resultant(f, g, main)
+
+    monkeypatch.setattr(pointsearch, "resultant", counted)
+    found, certified = common_rational_zeros(system)
+    assert certified and len(found) == 4
+    assert eliminated and set(eliminated) == {"x"}
+    eliminated.clear()
+    all_axes_zeros(system)
+    assert set(eliminated) == {"x", "y", "z"}

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from octica import poly
 from octica.linalg import bareiss_echelon, determinantal_divisor, kernel_basis, rank
 from octica.poly import (MultiPoly, VariableMismatch, det_bareiss, monomial_basis,
                          poly_gcd, pseudo_remainder, resultant, squarefree_decomposition,
@@ -19,13 +20,13 @@ Y = MultiPoly.var(V, "y")
 Z = MultiPoly.var(V, "z")
 
 
-def random_poly(rng, frame=V, max_deg=3, terms=4):
+def random_poly(rng, frame=V, max_deg=3, terms=4, size=5):
     out = {}
     for _ in range(terms):
         exp = [0] * len(frame)
         for _ in range(rng.randint(0, max_deg)):
             exp[rng.randrange(len(frame))] += 1
-        out[tuple(exp)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        out[tuple(exp)] = Fraction(rng.randint(-size, size), rng.randint(1, 3))
     return MultiPoly(frame, out)
 
 
@@ -205,6 +206,88 @@ def test_form_gcd_and_squarefree_match_sympy():
             theirs = {m: sympy.Poly(piece, *gens, domain="QQ").monic()
                       for piece, m in sympy.sqf_list(to_sympy(p).as_expr(), *gens)[1]}
             assert ours == theirs, str(p)
+
+
+def planted_gcd_cases():
+    """Pairs with a planted common factor in one, two and three variables:
+    non-homogeneous germs with small and with 60-digit numerators, squares
+    of the factor on one side, and the forms of `form_gcd_cases`."""
+    rng = random.Random(1307)
+    cases = []
+    for frame in (("x",), ("x", "y"), V):
+        for size in (5, 10 ** 60):
+            for _ in range(6):
+                h = random_poly(rng, frame, max_deg=3, terms=3, size=size)
+                f = h * random_poly(rng, frame, max_deg=3, terms=4, size=size)
+                g = h * random_poly(rng, frame, max_deg=3, terms=4, size=size)
+                cases.append((f, g))
+                cases.append((f * h, g * h * h))
+    return cases + form_gcd_cases()
+
+
+def test_gcd_matches_sympy_and_the_remainder_sequence():
+    sympy, gens, to_sympy = _sympy_frame()
+    for f, g in planted_gcd_cases():
+        d = poly_gcd(f, g)
+        if f.is_zero() and g.is_zero():
+            assert d.is_zero()
+            continue
+        theirs = sympy.gcd(to_sympy(f), to_sympy(g)).clear_denoms()[1].set_domain(sympy.ZZ).primitive()[1]
+        if theirs.LC(order="grevlex") < 0:
+            theirs = -theirs
+        assert to_sympy(d) == theirs.set_domain(sympy.QQ), (str(f), str(g))
+        if not (f.is_zero() or g.is_zero() or (f.is_constant() and g.is_constant())):
+            assert poly._prs_gcd(f, g) == d, (str(f), str(g))
+
+
+def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    cases = planted_gcd_cases()[::4]
+    want = [poly_gcd(f, g) for f, g in cases]
+    fallbacks = []
+    prs_gcd = poly._prs_gcd
+
+    def counted(f, g):
+        fallbacks.append((f, g))
+        return prs_gcd(f, g)
+
+    monkeypatch.setattr(poly, "_HEU_GCD_TRIES", 0)
+    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    assert [poly_gcd(f, g) for f, g in cases] == want
+    nontrivial = [(f, g) for f, g in cases if not (f.is_constant() or g.is_constant())]
+    assert nontrivial and all(case in fallbacks for case in nontrivial)
+
+
+def test_heuristic_evaluation_points_meet_the_bound(monkeypatch):
+    # both inputs of a try are evaluated at one xi >= 2*min(|f|, |g|) + 2,
+    # where exact trial division certifies the candidate
+    points = []
+    evaluate = poly._evaluate_int
+
+    def recorded(f, i, xi):
+        points.append((max(map(abs, f.values())), xi))
+        return evaluate(f, i, xi)
+
+    monkeypatch.setattr(poly, "_evaluate_int", recorded)
+    for f, g in planted_gcd_cases():
+        poly_gcd(f, g)
+    assert points and len(points) % 2 == 0
+    for (nf, xf), (ng, xg) in zip(points[::2], points[1::2]):
+        assert xf == xg and xf >= 2 * min(nf, ng) + 2
+
+
+def test_trial_division_certificate_matches_division():
+    # the heuristic accepts a candidate only when this exact test passes
+    rng = random.Random(1309)
+    for _ in range(60):
+        d = random_poly(rng, max_deg=3, terms=3).primitive()
+        if d.is_zero():
+            continue
+        q = random_poly(rng, max_deg=3, terms=4).primitive()
+        for f in (d * q, d * q + random_poly(rng, max_deg=2, terms=2)):
+            if f.is_zero():
+                continue
+            ints = [{e: int(c) for e, c in p.primitive().terms.items()} for p in (d, f)]
+            assert poly._divides_int(*ints) == d.divides(f), (str(d), str(f))
 
 
 def _all_fractions(*polys):

@@ -96,21 +96,34 @@ def parse_condition(entry: dict):
             return ContainsCurve(HomForm.of(form), int(entry.get("multiplicity", 1)))
         if kind == "line_contact":
             return LineContact(_point(entry["point"]), _form(entry["line"], 1), int(entry["order"]))
-    except AnchorError as e:
-        raise UserError(str(e)) from e
+    except UserError:
+        raise
+    except (TypeError, ValueError) as e:  # AnchorError is a ValueError
+        raise UserError(f"condition {kind}: {e}") from e
     raise UserError(f"unhandled condition kind {kind!r}")
 
 
-def load_constraints(path: str) -> tuple[int, list]:
+def _read_json(path: str, kind: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise UserError(f"cannot read constraint file {path}: {e}") from e
-    if not isinstance(data, dict) or "degree" not in data or "conditions" not in data:
+        raise UserError(f"cannot read {kind} file {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise UserError(f"{kind} file must hold a JSON object")
+    return data
+
+
+def load_constraints(path: str) -> tuple[int, list]:
+    data = _read_json(path, "constraint")
+    if "degree" not in data or "conditions" not in data:
         raise UserError("constraint file needs 'degree' and 'conditions'")
-    degree = int(data["degree"])
-    return degree, [parse_condition(c) for c in data["conditions"]]
+    try:
+        return int(data["degree"]), [parse_condition(c) for c in data["conditions"]]
+    except UserError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise UserError(f"malformed constraint file: {e}") from e
 
 
 def _seed(args) -> dict:
@@ -186,17 +199,18 @@ def cmd_param_analyze(args) -> int:
                            component_split_report, generic_rank,
                            parametric_nn_family, rank_drop_locus)
 
+    data = _read_json(args.family, "family")
     try:
-        with open(args.family) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UserError(f"cannot read family file {args.family}: {e}") from e
-    degree = int(data.get("degree", 8))
-    n = int(data.get("nn_order", 3))
-    param = str(data.get("parameter", "t"))
-    family = parametric_nn_family(n=n, degree=degree, param=param)
-    conditions = [parse_condition(c) for c in data.get("extra_conditions", [])]
-    M = build_condition_matrix(family, conditions)
+        param = str(data.get("parameter", "t"))
+        family = parametric_nn_family(n=int(data.get("nn_order", 3)),
+                                      degree=int(data.get("degree", 8)), param=param)
+        conditions = [parse_condition(c) for c in data.get("extra_conditions", [])]
+        M = build_condition_matrix(family, conditions)
+        values = [_fraction(v) for v in data.get("kernel_at", [])]
+    except UserError:
+        raise
+    except (TypeError, ValueError) as e:  # AnchorError is a ValueError
+        raise UserError(f"malformed family file: {e}") from e
     out = {"family_size": family.size, "rows": M.rows, "cols": M.cols}
     r = generic_rank(M)
     out["generic_rank"] = r
@@ -205,8 +219,7 @@ def cmd_param_analyze(args) -> int:
         out["rank_drop_locus"] = str(locus.radical)
         out["minor_gcd"] = str(locus.minor_gcd)
     comparisons = []
-    for value in data.get("kernel_at", []):
-        t0 = _fraction(value)
+    for t0 in values:
         cmp_ = compare_kernels_at(M, {param: t0})
         entry = {"parameter": str(t0), "special_dim": cmp_.special_dim,
                  "limit_dim": cmp_.limit_dim, "inclusion": cmp_.inclusion_holds,
@@ -253,7 +266,7 @@ def cmd_diagram(args) -> int:
     from .strata import degeneration_graph
 
     graph = degeneration_graph(args.scope)
-    dot = graph.to_dot("degenerations")
+    dot = graph.to_dot()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(dot)

@@ -470,7 +470,7 @@ def condition_ideal_graded_piece(conditions: Sequence[AnchoredCondition], degree
     in the canonical order and listed by increasing f, these vectors are
     exactly the rows of the reduced row echelon form of the kernel.
     """
-    if degree > 12:
+    if not 0 <= degree <= 12:
         raise AnchorError("degree out of supported range")
     basis = monomial_basis(3, degree)
     rows = [row[::-1] for row in condition_rows(conditions, degree)]

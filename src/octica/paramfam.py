@@ -22,8 +22,6 @@ from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
                      evaluate_at, line_coeffs, line_through, normalize_point)
 from .poly import MultiPoly, monomial_basis, poly_gcd, squarefree_part
 
-MAX_PARAMS = 4
-
 
 @dataclass
 class UniversalFamily:
@@ -32,11 +30,6 @@ class UniversalFamily:
     degree: int
     params: tuple[str, ...]
     basis: list[MultiPoly]          # frame PLANE_VARS + params
-
-    def __post_init__(self):
-        if len(self.params) > MAX_PARAMS:
-            raise AnchorError(f"at most {MAX_PARAMS} parameters supported")
-        self.frame = PLANE_VARS + self.params
 
     @property
     def size(self) -> int:
@@ -62,14 +55,11 @@ class UniversalFamily:
 class ParamMatrix:
     entries: list[list[MultiPoly]]   # frame = params only
     params: tuple[str, ...]
+    cols: int                        # kept apart: a matrix may have no rows
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def specialize(self, values: dict[str, Fraction]) -> list[list[Fraction]]:
         vals = {p: Fraction(values[p]) for p in self.params}
@@ -83,6 +73,8 @@ def parametric_nn_family(n: int = 3, degree: int = 8, param: str = "t") -> Unive
     The fixed-tangent monomial basis is sheared by y -> y - t*x, which
     identifies the graded pieces for every parameter value at once.
     """
+    if param in PLANE_VARS:
+        raise AnchorError(f"parameter {param!r} clashes with a plane variable")
     frame = PLANE_VARS + (param,)
     x = MultiPoly.var(frame, "x")
     y = MultiPoly.var(frame, "y")
@@ -112,7 +104,8 @@ def degenerate_nn_direction_analysis(n: int = 3, degree: int = 6, param: str = "
     basis = [MultiPoly.monomial(fam_frame, e + (0,)) for e in exps]
     family = UniversalFamily(degree, (param,), basis)
     combos = _degenerate_direction_combos(degree, n, MultiPoly.var(frame_p, param))
-    return family, ParamMatrix([[combo.get(e, zero) for e in exps] for combo in combos], frame_p)
+    return family, ParamMatrix([[combo.get(e, zero) for e in exps] for combo in combos], frame_p,
+                               family.size)
 
 
 def build_condition_matrix(family: UniversalFamily, extra_conditions: Sequence[AnchoredCondition]) -> ParamMatrix:
@@ -137,7 +130,7 @@ def build_condition_matrix(family: UniversalFamily, extra_conditions: Sequence[A
                         acc = acc + p * coeff
             out_row.append(acc)
         entries.append(out_row)
-    return ParamMatrix(entries, param_frame)
+    return ParamMatrix(entries, param_frame, family.size)
 
 
 def generic_rank(M: ParamMatrix) -> int:
@@ -178,7 +171,6 @@ class KernelComparison:
     limit_kernel: list[list[Fraction]]
     inclusion_holds: bool
     strict: bool
-    limit_rank_deficient: bool = False
 
     @property
     def special_dim(self) -> int:
@@ -212,7 +204,7 @@ def compare_kernels_at(M: ParamMatrix, values: dict[str, Fraction]) -> KernelCom
         raise AssertionError("kernel limit escaped the specialised kernel; "
                              "semicontinuity violated")
     strict = limit_rank < len(special)
-    return KernelComparison(special, limit, inclusion, strict, limit_rank < len(limit))
+    return KernelComparison(special, limit, inclusion, strict)
 
 
 @dataclass
@@ -220,10 +212,6 @@ class SplitReport:
     witness_line: MultiPoly
     special_multiplicity: int
     limit_multiplicity: int
-
-    @property
-    def split_detected(self) -> bool:
-        return self.special_multiplicity != self.limit_multiplicity
 
 
 def component_split_report(family: UniversalFamily, comparison: KernelComparison,

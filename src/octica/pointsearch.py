@@ -21,7 +21,8 @@ from .poly import MultiPoly, poly_gcd, resultant, squarefree_part
 from .singclass import rational_roots
 
 
-def _pair_resultants(polys, main: str, limit: int = 8):
+def _pair_resultants(polys, main: str):
+    """The first eight nonzero pairwise resultants eliminating `main`."""
     out = []
     n = len(polys)
     for i in range(n):
@@ -29,7 +30,7 @@ def _pair_resultants(polys, main: str, limit: int = 8):
             r = resultant(polys[i], polys[j], main)
             if not r.is_zero():
                 out.append(r)
-                if len(out) >= limit:
+                if len(out) >= 8:
                     return out
     return out
 

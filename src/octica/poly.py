@@ -85,8 +85,8 @@ class MultiPoly:
         return MultiPoly(variables, {exp: Fraction(1)})
 
     @staticmethod
-    def monomial(variables: Sequence[str], exponents: Sequence[int], c=1) -> "MultiPoly":
-        return MultiPoly(variables, {tuple(exponents): Fraction(c)})
+    def monomial(variables: Sequence[str], exponents: Sequence[int]) -> "MultiPoly":
+        return MultiPoly(variables, {tuple(exponents): Fraction(1)})
 
     @staticmethod
     def linear(variables: Sequence[str], coeffs: Sequence) -> "MultiPoly":
@@ -299,19 +299,17 @@ class MultiPoly:
             result = result + term
         return result
 
-    def rename(self, target_vars: Sequence[str], mapping: Mapping[str, str] | None = None) -> "MultiPoly":
-        """Re-express in a different frame; names map identically by default."""
+    def rename(self, target_vars: Sequence[str]) -> "MultiPoly":
+        """Re-express in a different frame, each variable under its own name."""
         target_vars = tuple(target_vars)
-        mapping = mapping or {}
         idx = []
         for v in self.vars:
-            name = mapping.get(v, v)
-            if name not in target_vars:
+            if v not in target_vars:
                 if self.degree_in(v) > 0:
                     raise VariableMismatch(f"variable {v} has no home in {target_vars}")
                 idx.append(None)
             else:
-                idx.append(target_vars.index(name))
+                idx.append(target_vars.index(v))
         terms: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms.items():
             new = [0] * len(target_vars)

@@ -21,8 +21,6 @@ from .paramfam import (build_condition_matrix, compare_kernels_at,
                        degenerate_nn_direction_analysis, parametric_nn_family)
 from .poly import MultiPoly
 
-PRIMES = ["", "'", "''", "'''", "''''"]
-
 
 @dataclass(frozen=True, slots=True)
 class StratumLabel:
@@ -167,28 +165,6 @@ def hodge_type(label: StratumLabel) -> tuple[int, int]:
     return (r, s)
 
 
-def hodge_leq(h1: tuple[int, int], h2: tuple[int, int]) -> bool:
-    return h1[0] <= h2[0] and h1[0] + h1[1] <= h2[0] + h2[1]
-
-
-def hodge_diamonds() -> list[tuple[int, int]]:
-    return [(r, s) for r in range(4) for s in range(4 - r)]
-
-
-def hodge_hasse_edges() -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Covering relations of the partial order on the ten diamonds."""
-    ds = hodge_diamonds()
-    edges = []
-    for h1 in ds:
-        for h2 in ds:
-            if h1 == h2 or not hodge_leq(h1, h2):
-                continue
-            if any(h3 not in (h1, h2) and hodge_leq(h1, h3) and hodge_leq(h3, h2) for h3 in ds):
-                continue
-            edges.append((h1, h2))
-    return sorted(edges)
-
-
 NONNORMAL_HODGE_ANNOTATIONS = {
     (2, 0, 0, 0, 0): [(0, 3), (1, 2), (2, 1), (3, 0)],
     (4, 0, 0, 0, 0): [(0, 3), (1, 2), (2, 1), (3, 0)],
@@ -328,8 +304,8 @@ class DegenerationGraph:
     nodes: list[StratumLabel]
     edges: list[tuple[StratumLabel, StratumLabel]]
 
-    def to_dot(self, name="degenerations") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph degenerations {"]
         for n in self.nodes:
             lines.append(f'  {n.ascii_id()} [label="{n.display()}"];')
         for (s, t) in self.edges:
@@ -413,9 +389,6 @@ class ConfigFlag:
 @dataclass(frozen=True)
 class ConfigConic:
     conic: MultiPoly
-
-
-ConfigElement = ConfigPoint | ConfigLine | ConfigFlag | ConfigConic
 
 
 def _conic_matrix(q: MultiPoly) -> list[list[Fraction]]:

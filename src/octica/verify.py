@@ -184,7 +184,6 @@ def check_milnor_lemma(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
 @dataclass
 class EmptinessCertificate:
     label: str
-    generic_kernel_dim: int
     specializations_checked: int
     all_invalid: bool
     reasons: list[str] = field(default_factory=list)
@@ -227,7 +226,7 @@ def certify_empty_configuration(conditions_builder, n_params: int, label: str,
             reasons.append(f"params {params}: admissible member found")
         else:
             reasons.append(f"params {params}: members violate admissibility")
-    return EmptinessCertificate(label, -1, checked, all_invalid, reasons)
+    return EmptinessCertificate(label, checked, all_invalid, reasons)
 
 
 def check_nonexistence_suite(seed: int = DEFAULT_SEED) -> LemmaCheckResult:

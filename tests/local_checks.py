@@ -1,6 +1,7 @@
 """Test-only helpers: oracles built on the library's local intersection
-numbers, the Sylvester-determinant resultant, random projectivities and the
-small linear systems that the dimension tables quote."""
+numbers, the Sylvester-determinant resultant, random projectivities, the
+small linear systems that the dimension tables quote and the partial order on
+Hodge diamonds."""
 from fractions import Fraction
 
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LinearSystem,
@@ -144,3 +145,28 @@ def two_33_sextic_pinned_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None,
     return condition_ideal_graded_piece(
         [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3),
          ContainsCurve(HomForm(c1.poly * c2.poly, 4), 1)], 6)
+
+
+# -- the partial order on Hodge diamonds -----------------------------------------
+
+
+def hodge_leq(h1: tuple[int, int], h2: tuple[int, int]) -> bool:
+    return h1[0] <= h2[0] and h1[0] + h1[1] <= h2[0] + h2[1]
+
+
+def hodge_diamonds() -> list[tuple[int, int]]:
+    return [(r, s) for r in range(4) for s in range(4 - r)]
+
+
+def hodge_hasse_edges() -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Covering relations of the partial order on the ten diamonds."""
+    ds = hodge_diamonds()
+    edges = []
+    for h1 in ds:
+        for h2 in ds:
+            if h1 == h2 or not hodge_leq(h1, h2):
+                continue
+            if any(h3 not in (h1, h2) and hodge_leq(h1, h3) and hodge_leq(h3, h2) for h3 in ds):
+                continue
+            edges.append((h1, h2))
+    return sorted(edges)

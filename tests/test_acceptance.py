@@ -16,8 +16,10 @@ from octica.paramfam import (build_condition_matrix, compare_kernels_at,
                              verify_no_four_33_points)
 from octica.poly import MultiPoly
 from octica.strata import (catalogue_totals, degeneration_graph, degeneration_rule,
-                           expected_dimension, hodge_hasse_edges, hodge_leq,
-                           hodge_type, nonnormal_pipelines, normal_pipelines)
+                           expected_dimension, hodge_type, nonnormal_pipelines,
+                           normal_pipelines)
+
+from local_checks import hodge_hasse_edges, hodge_leq
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")

@@ -48,11 +48,9 @@ def test_roundtrip_print_parse():
 
 
 def test_linsys_command(capsys, constraint_file):
-    from octica.schemas import LINSYS_OUTPUT_SCHEMA, validate
     assert main(["linsys", "--constraints", constraint_file]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["dim_forms"] == 35
-    validate(data, LINSYS_OUTPUT_SCHEMA)
+    assert data == {"degree": 8, "dim_forms": 35, "dim_projective": 34}
 
 
 BASIS_FILES = {
@@ -85,12 +83,15 @@ def test_linsys_basis_output_is_pinned(capsys, tmp_path, name):
 
 
 def test_classify_command(capsys):
-    from octica.schemas import REPORT_OUTPUT_SCHEMA, validate
     assert main(["classify", "--curve", "x^4+x^2*y^2+y^4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["type"] == "X9"
     assert data["milnor"] == 9
-    validate(data, REPORT_OUTPUT_SCHEMA)
+    assert data["multiplicity"] == 4
+    for key in ("table_mu", "branches"):
+        assert data[key] is None or isinstance(data[key], int)
+    assert data["point"] is None or isinstance(data["point"], list)
+    assert data["distinguished_tangent"] is None or isinstance(data["distinguished_tangent"], str)
 
 
 def test_classify_at_point(capsys):
@@ -110,15 +111,45 @@ def test_param_analyze_command(capsys, family_file):
     assert at1["special_dim"] == at1["limit_dim"] == 23
 
 
+def test_param_analyze_rejects_a_plane_variable_as_parameter(capsys, tmp_path):
+    # a parameter named like a plane variable would share its frame slot and
+    # give wrong ranks; any other name gives the true answers
+    family = {"kernel_at": ["0"],
+              "extra_conditions": [{"kind": "multiplicity", "point": ["1", "0", "0"], "order": 4}]}
+    path = tmp_path / "family.json"
+    for name in "xyz":
+        path.write_text(json.dumps(dict(family, parameter=name)))
+        assert main(["param-analyze", "--family", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: malformed family file: "
+                                           f"parameter '{name}' clashes with a plane variable\n")
+    path.write_text(json.dumps(dict(family, parameter="u")))
+    assert main(["param-analyze", "--family", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["generic_rank"], data["rank_drop_locus"]) == (10, "u")
+    assert data["kernels"][0]["strict"]
+
+
+def test_param_analyze_without_conditions_keeps_the_whole_family(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kernel_at": ["0"]}))
+    assert main(["param-analyze", "--family", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["family_size"], data["rows"], data["cols"], data["generic_rank"]) == (33, 0, 33, 0)
+    at0, = data["kernels"]
+    assert (at0["special_dim"], at0["limit_dim"], at0["strict"]) == (33, 33, False)
+
+
 def test_catalog_json(capsys):
-    from octica.schemas import CATALOGUE_OUTPUT_SCHEMA, validate
     assert main(["catalog", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["totals"]["strata"] == 47
     assert data["totals"]["components"] == 78
     inhabited = [s for s in data["strata"] if not s["empty"]]
     assert len(inhabited) == 78
-    validate(data, CATALOGUE_OUTPUT_SCHEMA)
+    for row in data["strata"]:
+        assert {"label", "id", "counts", "component", "dimension", "birational_type",
+                "empty"} <= set(row)
+        assert isinstance(row["empty"], bool) and isinstance(row["dimension"], int)
 
 
 def test_diagram_command(tmp_path, capsys):
@@ -214,6 +245,31 @@ def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
     # a hint point that is no projective point is invalid input, not a verdict
     assert main(["profile", "--curve", "x*y*z", "--point", "0,0,0"]) == 1
     assert capsys.readouterr().err == "error: not a projective point: (0, 0, 0)\n"
+
+    # a negative degree has no forms to speak of
+    assert main(["linsys", "--constraints", constraint_file, "--degree", "-3"]) == 1
+    assert capsys.readouterr().err == "error: degree out of supported range\n"
+
+    # malformed files, in either format
+    quadruple = {"kind": "multiplicity", "point": ["1", "0", "0"], "order": 4}
+    cases = [
+        ("linsys", {"degree": "abc", "conditions": []}),
+        ("linsys", {"degree": 8, "conditions": 5}),
+        ("linsys", {"degree": 8, "conditions": [dict(quadruple, order="x")]}),
+        ("linsys", []),
+        ("param-analyze", []),
+        ("param-analyze", {"degree": "abc"}),
+        ("param-analyze", {"extra_conditions": 3}),
+        ("param-analyze", {"extra_conditions": [dict(quadruple, order="x")]}),
+        ("param-analyze", {"extra_conditions": [{"kind": "contains", "form": "x^9"}]}),
+        ("param-analyze", {"kernel_at": 5}),
+    ]
+    for command, data in cases:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        option = "--constraints" if command == "linsys" else "--family"
+        assert main([command, option, str(path)]) == 1, (command, data)
+        assert capsys.readouterr().err.startswith("error: "), (command, data)
 
 
 def test_profile_issues_print_projective_points(capsys):

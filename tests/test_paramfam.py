@@ -56,7 +56,7 @@ def test_kernels_at_special_and_generic_values():
 
     split0 = component_split_report(family, at0, {"t": Fraction(0)}, Y)
     assert (split0.special_multiplicity, split0.limit_multiplicity) == (1, 2)
-    assert split0.split_detected
+    assert split0.special_multiplicity != split0.limit_multiplicity   # the split
 
 
 def test_rank_at_random_off_locus_values():
@@ -89,25 +89,25 @@ def test_trivial_matrices():
     one = MultiPoly.const(("t",), 1)
     m = ParamMatrix([[one, zero, t, zero, zero],
                      [zero, one, zero, t, zero],
-                     [zero, zero, zero, zero, one]], ("t",))
+                     [zero, zero, zero, zero, one]], ("t",), 5)
     assert generic_rank(m) == 3
-    diag = ParamMatrix([[t, zero], [zero, t]], ("t",))
+    diag = ParamMatrix([[t, zero], [zero, t]], ("t",), 2)
     locus = rank_drop_locus(diag)
     assert locus.minor_gcd == t * t
     assert locus.radical == t
     assert not locus.empty
     # a constant full-rank matrix never drops rank: unit ideal
-    const = ParamMatrix([[one, zero], [t * 0 + 2 * one, one]], ("t",))
+    const = ParamMatrix([[one, zero], [t * 0 + 2 * one, one]], ("t",), 2)
     assert rank_drop_locus(const).empty
     # kernels of a constant matrix agree at every parameter value
-    cmp_ = compare_kernels_at(ParamMatrix([[one, one, zero]], ("t",)), {"t": Fraction(7)})
+    cmp_ = compare_kernels_at(ParamMatrix([[one, one, zero]], ("t",), 3), {"t": Fraction(7)})
     assert cmp_.special_dim == cmp_.limit_dim == 2
     assert cmp_.inclusion_holds and not cmp_.strict
 
 
 def test_rank_drop_locus_needs_one_parameter():
     with pytest.raises(ValueError):
-        rank_drop_locus(ParamMatrix([[MultiPoly.var(("s", "t"), "s")]], ("s", "t")))
+        rank_drop_locus(ParamMatrix([[MultiPoly.var(("s", "t"), "s")]], ("s", "t"), 1))
 
 
 def test_identically_satisfied_conditions_give_zero_matrix():
@@ -128,9 +128,12 @@ def test_identically_satisfied_conditions_give_zero_matrix():
 def test_no_extra_conditions_gives_zero_rows():
     family = parametric_nn_family(n=3, degree=8, param="t")
     matrix = build_condition_matrix(family, [])
-    assert matrix.rows == 0
+    assert (matrix.rows, matrix.cols) == (0, 33)
     basis = poly_kernel_basis(matrix.entries, family.size, ("t",))
     assert len(basis) == family.size
+    # with no conditions every form of the family is in both kernels
+    cmp_ = compare_kernels_at(matrix, {"t": Fraction(0)})
+    assert (cmp_.special_dim, cmp_.limit_dim, cmp_.strict) == (33, 33, False)
 
 
 def test_degenerate_direction_analysis():

@@ -7,12 +7,13 @@ from octica.poly import MultiPoly
 from octica.strata import (ConfigFlag, ConfigLine, ConfigPoint, L,
                            build_catalogue, catalogue_totals, component_tags,
                            degeneration_graph, degeneration_rule, empty_normal_labels,
-                           expected_dimension, hodge_hasse_edges, hodge_leq,
-                           hodge_type, inhabited_nonnormal_labels,
+                           expected_dimension, hodge_type, inhabited_nonnormal_labels,
                            inhabited_normal_labels, birational_type,
                            nonnormal_pipelines, normal_component_count_multiset,
                            normal_pipelines, stabilizer_dimension,
                            stratum_dimension)
+
+from local_checks import hodge_hasse_edges, hodge_leq
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")

@@ -38,6 +38,18 @@ def _fraction(text) -> Fraction:
         raise UserError(f"not a rational number: {text!r}") from e
 
 
+def _int(value) -> int:
+    """An integer field: a JSON integer or a string of one, never a float or a boolean."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UserError(f"not an integer: {value!r}")
+
+
 def _point(value) -> tuple:
     if isinstance(value, str):
         parts = value.split(",")
@@ -81,21 +93,21 @@ def parse_condition(entry: dict):
         raise UserError(f"condition {kind}: missing {sorted(missing)}, unexpected {sorted(extra)}")
     try:
         if kind == "multiplicity":
-            return MultiplicityAtPoint(_point(entry["point"]), int(entry["order"]))
+            return MultiplicityAtPoint(_point(entry["point"]), _int(entry["order"]))
         if kind == "nn_point":
             direction = Fraction(0) if entry.get("degenerate", False) else None
             if "direction" in entry:
                 direction = _fraction(entry["direction"])
             return NNPointWithTangent(_point(entry["point"]), _form(entry["tangent"], 1),
-                                      int(entry["order"]), direction)
+                                      _int(entry["order"]), direction)
         if kind == "cone_direction":
             return ConeDirection(_point(entry["point"]), _form(entry["tangent"], 1),
-                                 int(entry["multiplicity"]), int(entry.get("power", 2)))
+                                 _int(entry["multiplicity"]), _int(entry.get("power", 2)))
         if kind == "contains":
             form = _form(entry["form"])
-            return ContainsCurve(HomForm.of(form), int(entry.get("multiplicity", 1)))
+            return ContainsCurve(HomForm.of(form), _int(entry.get("multiplicity", 1)))
         if kind == "line_contact":
-            return LineContact(_point(entry["point"]), _form(entry["line"], 1), int(entry["order"]))
+            return LineContact(_point(entry["point"]), _form(entry["line"], 1), _int(entry["order"]))
     except UserError:
         raise
     except (TypeError, ValueError) as e:  # AnchorError is a ValueError
@@ -119,7 +131,7 @@ def load_constraints(path: str) -> tuple[int, list]:
     if "degree" not in data or "conditions" not in data:
         raise UserError("constraint file needs 'degree' and 'conditions'")
     try:
-        return int(data["degree"]), [parse_condition(c) for c in data["conditions"]]
+        return _int(data["degree"]), [parse_condition(c) for c in data["conditions"]]
     except UserError:
         raise
     except (TypeError, ValueError) as e:
@@ -202,8 +214,8 @@ def cmd_param_analyze(args) -> int:
     data = _read_json(args.family, "family")
     try:
         param = str(data.get("parameter", "t"))
-        family = parametric_nn_family(n=int(data.get("nn_order", 3)),
-                                      degree=int(data.get("degree", 8)), param=param)
+        family = parametric_nn_family(n=_int(data.get("nn_order", 3)),
+                                      degree=_int(data.get("degree", 8)), param=param)
         conditions = [parse_condition(c) for c in data.get("extra_conditions", [])]
         M = build_condition_matrix(family, conditions)
         values = [_fraction(v) for v in data.get("kernel_at", [])]

@@ -94,9 +94,6 @@ class HomForm:
     def of(poly: MultiPoly) -> "HomForm":
         return HomForm(poly, max(poly.total_degree(), 0))
 
-    def __mul__(self, other: "HomForm") -> "HomForm":
-        return HomForm(self.poly * other.poly, self.degree + other.degree)
-
     def __str__(self):
         return str(self.poly)
 

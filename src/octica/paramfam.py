@@ -18,9 +18,9 @@ from typing import Sequence
 from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
 from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
-                     _degenerate_direction_combos, common_divisibility, condition_rows,
+                     _cross, _degenerate_direction_combos, common_divisibility, condition_rows,
                      evaluate_at, line_coeffs, line_through, normalize_point)
-from .poly import MultiPoly, monomial_basis, poly_gcd, squarefree_part
+from .poly import MultiPoly, binary_roots, monomial_basis, poly_gcd, resultant, squarefree_part
 
 
 @dataclass
@@ -75,6 +75,10 @@ def parametric_nn_family(n: int = 3, degree: int = 8, param: str = "t") -> Unive
     """
     if param in PLANE_VARS:
         raise AnchorError(f"parameter {param!r} clashes with a plane variable")
+    if not 0 <= degree <= 12:
+        raise AnchorError("degree out of supported range")
+    if n < 2:
+        raise AnchorError("infinitely-near condition needs n >= 2")
     frame = PLANE_VARS + (param,)
     x = MultiPoly.var(frame, "x")
     y = MultiPoly.var(frame, "y")
@@ -308,31 +312,17 @@ class FourPointsCertificate:
 
 
 UV = ("u", "v")
+# the substitution (x, y, z) -> (u, v, 1), which evaluates a form at p4 = (u : v : 1)
+AT_P4 = {"x": MultiPoly.var(UV, "u"), "y": MultiPoly.var(UV, "v"), "z": 1}
 
 
-def _symbolic_conic(flag_rows: list[list[Fraction]], p4_frame) -> list[MultiPoly]:
-    """Conic through two rational flags and the symbolic point (u : v : 1):
-    coefficient vector by signed maximal minors of the 5 x 6 condition matrix."""
-    sym_row = []
-    u = MultiPoly.var(p4_frame, "u")
-    v = MultiPoly.var(p4_frame, "v")
-    one = MultiPoly.const(p4_frame, 1)
-    coords = {"x": u, "y": v, "z": one}
-    for exp in CONIC_EXPS:
-        val = one
-        for w, e in zip(PLANE_VARS, exp):
-            for _ in range(e):
-                val = val * coords[w]
-        sym_row.append(val)
-    rows = [[MultiPoly.const(p4_frame, c) for c in r] for r in flag_rows]
-    rows.append(sym_row)
-    from .poly import det_bareiss
-    vec = []
-    for j in range(6):
-        cols = [k for k in range(6) if k != j]
-        minor = det_bareiss([[rows[i][k] for k in cols] for i in range(5)])
-        sign = -1 if j % 2 else 1
-        vec.append(minor * sign)
+def _symbolic_conic(flag_rows: list[list[Fraction]]) -> list[MultiPoly]:
+    """Coefficient vector of the conic through two rational flags and the
+    symbolic point (u : v : 1): the kernel of the 5 x 6 condition matrix over
+    Q(u, v), cleared to polynomials in u and v."""
+    rows = [[MultiPoly.const(UV, c) for c in r] for r in flag_rows]
+    rows.append([MultiPoly.monomial(PLANE_VARS, exp).substitute(AT_P4, UV) for exp in CONIC_EXPS])
+    vec, = poly_kernel_basis(rows, len(CONIC_EXPS), UV)
     return vec
 
 
@@ -353,55 +343,32 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     C0 = conic_through(points=[p3], flags=[(p1, l1), (p2, l2)])
     l3 = conic_gradient(C0, p3)
     notes = []
-    frame = UV
-    u = MultiPoly.var(frame, "u")
-    v = MultiPoly.var(frame, "v")
-
-    def _eval_form_at_uv(f: MultiPoly) -> MultiPoly:
-        # substitute (x, y, z) -> (u, v, 1)
-        out = MultiPoly.zero(frame)
-        for (a, b, c), coeff in f.terms.items():
-            out = out + MultiPoly(frame, {(a, b): Fraction(1)}) * coeff
-        return out
-
     l2_used = l2 if not perturb else (x + 2 * y + z).primitive()
     conics = []
     for flags in (((p2, l2), (p3, l3)),            # C1: misses p1
                   ((p1, l1), (p3, l3)),            # C2: misses p2
                   ((p1, l1), (p2, l2_used))):      # C3: misses p3
         rows = [row for p, line in flags for row in _conic_gradient_rows(normalize_point(p), line)]
-        conics.append(_symbolic_conic(rows, frame))
+        conics.append(_symbolic_conic(rows))
 
-    # tangent line of each conic at p4 = (u : v : 1): gradient evaluated there
-    tangents = []
-    for vec in conics:
-        grads = []
-        for w in PLANE_VARS:
-            comp = MultiPoly.zero(frame)
-            for exp, coeff_mono in zip(CONIC_EXPS, vec):
-                mono = MultiPoly.monomial(PLANE_VARS, exp)
-                d = mono.derivative(w)
-                comp = comp + coeff_mono * _eval_form_at_uv(d)
-            grads.append(comp)
-        tangents.append(grads)
+    # tangent line of each conic at p4 = (u : v : 1): its gradient there
+    grad_rows = [[MultiPoly.monomial(PLANE_VARS, exp).derivative(w).substitute(AT_P4, UV)
+                  for exp in CONIC_EXPS] for w in PLANE_VARS]
+    tangents = [[sum((c * d for c, d in zip(vec, row)), MultiPoly.zero(UV)) for row in grad_rows]
+                for vec in conics]
 
-    def cross(a, b):
-        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
+    u = MultiPoly.var(UV, "u")
+    v = MultiPoly.var(UV, "v")
     psis = []
     for other in (1, 2):
-        c = cross(tangents[0], tangents[other])
+        c = _cross(tangents[0], tangents[other])
         psi = c[2]
         if not (c[0] == psi * u and c[1] == psi * v):
             raise AssertionError("tangent lines do not meet at the fourth point")
         psis.append(psi)
-    c0_uv = _eval_form_at_uv(C0.poly)
-
-    degenerate_lines = []
-    for (a, b) in ((p1, p2), (p1, p3), (p2, p3)):
-        degenerate_lines.append(_eval_form_at_uv(line_through(a, b)))
-    for l in (l1, l2, l3):
-        degenerate_lines.append(_eval_form_at_uv(l))
+    c0_uv = C0.poly.substitute(AT_P4, UV)
+    lines = [line_through(a, b) for a, b in ((p1, p2), (p1, p3), (p2, p3))] + [l1, l2, l3]
+    degenerate_lines = [line.substitute(AT_P4, UV) for line in lines]
 
     if any(psi.is_zero() for psi in psis):
         return FourPointsCertificate(C0, psis, [], degenerate_lines, False, [], False, False,
@@ -439,7 +406,6 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     residual_points: list[tuple[Fraction, Fraction]] = []
     points_ok = True
     if not (q1.is_constant() or q2.is_constant()):
-        from .poly import resultant
         if q1.degree_in("v") > 0 and q2.degree_in("v") > 0:
             R = resultant(q1, q2, "v")
         else:
@@ -448,13 +414,12 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
             points_ok = False
             notes.append("residual coincidence polynomials share a factor")
         elif not R.is_constant():
-            from .singclass import rational_roots
-            for u0 in rational_roots(R.rename(("u", "v")).substitute({"v": Fraction(1)}).rename(("u",)), "u"):
+            for u0, _ in binary_roots(R.rename(("u",)))[0]:
                 sub1 = q1.substitute({"u": u0}).rename(("v",))
                 sub2 = q2.substitute({"u": u0}).rename(("v",))
                 gg = poly_gcd(sub1, sub2)
                 if gg.total_degree() > 0:
-                    for v0 in rational_roots(gg, "v"):
+                    for v0, _ in binary_roots(gg)[0]:
                         residual_points.append((u0, v0))
             for (u0, v0) in residual_points:
                 vals = {"u": u0, "v": v0}

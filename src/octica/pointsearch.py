@@ -14,11 +14,8 @@ at the first axis that certifies.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linsys import PLANE_VARS, Point, evaluate_at, normalize_point
-from .poly import MultiPoly, poly_gcd, resultant, squarefree_part
-from .singclass import rational_roots
+from .poly import MultiPoly, binary_roots, poly_gcd, resultant, squarefree_part
 
 
 def _pair_resultants(polys, main: str):
@@ -52,25 +49,6 @@ def _direction_gcd(polys, main: str) -> MultiPoly | None:
     return g
 
 
-def _roots_of_binary(gg: MultiPoly, u: str, v: str) -> tuple[list[tuple[Fraction, Fraction]], MultiPoly]:
-    """Rational projective roots of a squarefree binary form in the frame
-    (u, v), plus the cofactor left after dividing out the rational root
-    factors."""
-    out = []
-    leftover = gg
-    kv = min(exp[1] for exp in gg.terms)
-    if kv > 0:
-        out.append((Fraction(1), Fraction(0)))
-        leftover = MultiPoly((u, v), {(e0, e1 - kv): c for (e0, e1), c in leftover.terms.items()})
-    dehom = gg.substitute({v: Fraction(1)}).rename((u,))
-    if dehom.total_degree() > 0:
-        for r in rational_roots(dehom, u):
-            out.append((r, Fraction(1)))
-            line = MultiPoly.linear((u, v), (1, -r))
-            leftover = leftover.exact_div(line)
-    return out, leftover
-
-
 def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point], bool]:
     """All rational projective common zeros of the forms, and a flag which is
     True when the search certifies there is no non-rational common zero."""
@@ -99,7 +77,7 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
         if g.is_constant():
             return found, True
         leftover = squarefree_part(g.rename((u, v)))
-        dirs, _ = _roots_of_binary(leftover, u, v)
+        dirs, _ = binary_roots(leftover)
         all_dirs_clean = True
         for (du, dv) in dirs:
             pts, clean = _points_on_direction(polys, axis, u, v, du, dv)
@@ -141,7 +119,7 @@ def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:
         return [], False
     if g.is_constant():
         return [], True
-    roots, leftover = _roots_of_binary(squarefree_part(g.rename((axis, tname))), axis, tname)
+    roots, leftover = binary_roots(squarefree_part(g.rename((axis, tname))))
     out = []
     for (ta, tt) in roots:
         coords = {axis: ta, u: du * tt, v: dv * tt}

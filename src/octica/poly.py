@@ -729,32 +729,6 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
 # -- resultants ----------------------------------------------------------
 
 
-def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant; entries must support exact division."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    frame = rows[0][0].vars
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.const(frame, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(frame)
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[k][k] * m[r][c] - m[r][k] * m[k][c]).exact_div(prev)
-            m[r][k] = MultiPoly.zero(frame)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
-
-
 def _check_resultant_args(f: MultiPoly, g: MultiPoly, main: str) -> None:
     if f.vars != g.vars:
         raise VariableMismatch(f"frames differ: {f.vars} vs {g.vars}")
@@ -806,14 +780,86 @@ def resultant(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
     return h_ * s
 
 
-def univariate_coeff_list(p: MultiPoly, name: str) -> list[Fraction]:
-    """Dense coefficient list (ascending) for a polynomial in a single variable."""
-    extra = p.support_vars() - {name}
-    if extra:
-        raise VariableMismatch(f"not univariate in {name}: also uses {sorted(extra)}")
-    d = max(p.degree_in(name), 0)
-    out = [Fraction(0)] * (d + 1)
-    i = p.vars.index(name)
-    for exp, c in p.terms.items():
-        out[exp[i]] = c
-    return out
+# -- rational roots ------------------------------------------------------
+
+
+def binary_roots(f: MultiPoly) -> tuple[list[tuple[Fraction, Fraction]], MultiPoly]:
+    """Rational roots of a binary form f(u, v), as points (a : b), or of a
+    polynomial f(u) in one variable, as points (r : 1); and the cofactor of f
+    after one linear factor u - r*v (or u - r) per root is divided out.
+
+    The root (1 : 0) comes first, and with it every power of v is divided
+    out; the roots (r : 1) follow, sorted by r.  No integer is factored (Loos
+    1983): the roots of the squarefree part of f(u, 1) modulo a prime p at
+    which they are all simple are Newton-lifted until p^k exceeds
+    2*|lead*a0|, which bounds lead*r for every rational root r, and each
+    symmetric residue is checked exactly.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial has every root")
+    frame, u = f.vars, f.vars[0]
+    roots: list[tuple[Fraction, Fraction]] = []
+    cofactor = f
+    if len(frame) == 2:
+        kv = min(exp[1] for exp in f.terms)
+        if kv > 0:
+            roots.append((Fraction(1), Fraction(0)))
+            cofactor = MultiPoly._of(frame, {(a, b - kv): c for (a, b), c in f.terms.items()})
+        f = f.substitute({frame[1]: Fraction(1)}).rename((u,))
+    if f.total_degree() <= 0:
+        return roots, cofactor
+    if f.total_degree() >= 2:
+        f = squarefree_part(f)
+    nums, _ = f._numerators()
+    a = [0] * (f.total_degree() + 1)
+    for (k,), c in nums:
+        a[k] = c
+    found = []
+    if a[0] == 0:   # a squarefree or linear polynomial has u at most once
+        found.append(Fraction(0))
+        a = a[1:]
+    if len(a) > 1:
+        da = [k * c for k, c in enumerate(a)][1:]
+        lead = a[-1]
+        bound = 2 * abs(lead * a[0])
+        p, residues = _simple_roots_mod_prime(a, da)
+        for r in residues:
+            m = p
+            while m <= bound:
+                m *= m
+                r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
+            v = lead * r % m
+            cand = Fraction(v - m if 2 * v > m else v, lead)
+            if sum(c * cand ** k for k, c in enumerate(a)) == 0:
+                found.append(cand)
+    # the factor u - r*v, or u - r in one variable
+    u_exp, v_exp = ((1, 0), (0, 1)) if len(frame) == 2 else ((1,), (0,))
+    for r in sorted(found):
+        roots.append((r, Fraction(1)))
+        cofactor = cofactor.exact_div(MultiPoly(frame, {u_exp: 1, v_exp: -r}))
+    return roots, cofactor
+
+
+def _horner(a: list[int], r: int, m: int) -> int:
+    """The polynomial with ascending coefficients a at r, modulo m."""
+    v = 0
+    for c in reversed(a):
+        v = (v * r + c) % m
+    return v
+
+
+def _simple_roots_mod_prime(a: list[int], da: list[int]) -> tuple[int, list[int]]:
+    """The first prime p not dividing the leading coefficient at which every
+    root of a modulo p is simple, with those roots.
+
+    Such a p exists when a is squarefree: any p dividing neither the leading
+    coefficient nor the discriminant will do.
+    """
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) or a[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if _horner(a, r, p) == 0]
+        if all(_horner(da, r, p) for r in residues):
+            return p, residues

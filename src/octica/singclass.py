@@ -24,14 +24,12 @@ as a fallback, when the resultant vanishes or the first shears all fail.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linsys import (HomForm, Point, apply_transport, evaluate_at, line_through, normalize_point,
                      transport_matrix, transport_point)
-from .poly import (MultiPoly, poly_gcd, resultant, squarefree_decomposition,
-                   squarefree_part, univariate_coeff_list)
+from .poly import MultiPoly, binary_roots, poly_gcd, resultant, squarefree_decomposition
 
 LOCAL_VARS = ("x", "y")
 
@@ -194,80 +192,6 @@ def milnor_number(f: MultiPoly) -> int | None:
     return intersection_multiplicity_origin(f.derivative("x"), f.derivative("y"))
 
 
-# -- rational root extraction --------------------------------------------------
-
-
-def rational_roots(f: MultiPoly, name: str) -> list[Fraction]:
-    """All rational roots of a univariate polynomial, sorted.
-
-    No integer is factored (Loos 1983): the roots of the squarefree part
-    modulo a prime p at which they are all simple are Newton-lifted until
-    p^k exceeds 2*|lead*a0|, which bounds lead*r for every rational root r,
-    and each symmetric residue is checked exactly.
-    """
-    f = f.rename((name,))
-    if f.is_zero():
-        raise ValueError("zero polynomial has every root")
-    if f.degree_in(name) >= 2:
-        f = squarefree_part(f)
-    coeffs = univariate_coeff_list(f, name)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    a = [int(c * den) for c in coeffs]
-    roots = []
-    if a[0] == 0:   # a squarefree or linear polynomial has x at most once
-        roots.append(Fraction(0))
-        a = a[1:]
-    if len(a) == 1:
-        return roots
-    da = [k * c for k, c in enumerate(a)][1:]
-    lead = a[-1]
-    bound = 2 * abs(lead * a[0])
-    p, residues = _simple_roots_mod_prime(a, da)
-    for r in residues:
-        m = p
-        while m <= bound:
-            m *= m
-            r = (r - _horner(a, r, m) * pow(_horner(da, r, m), -1, m)) % m
-        v = lead * r % m
-        cand = Fraction(v - m if 2 * v > m else v, lead)
-        if sum(c * cand ** k for k, c in enumerate(a)) == 0:
-            roots.append(cand)
-    return sorted(roots)
-
-
-def _horner(a: list[int], r: int, m: int) -> int:
-    """The polynomial with ascending coefficients a at r, modulo m."""
-    v = 0
-    for c in reversed(a):
-        v = (v * r + c) % m
-    return v
-
-
-def _simple_roots_mod_prime(a: list[int], da: list[int]) -> tuple[int, list[int]]:
-    """The first prime p not dividing the leading coefficient at which every
-    root of a modulo p is simple, with those roots.
-
-    Such a p exists when a is squarefree: any p dividing neither the leading
-    coefficient nor the discriminant will do.
-    """
-    p = 1
-    while True:
-        p += 1
-        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) or a[-1] % p == 0:
-            continue
-        residues = [r for r in range(p) if _horner(a, r, p) == 0]
-        if all(_horner(da, r, p) for r in residues):
-            return p, residues
-
-
-def is_rational_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
-
-
 # -- the classifier -------------------------------------------------------------
 
 
@@ -362,13 +286,14 @@ def classify(f: MultiPoly) -> SingularityReport:
     m = multiplicity(f)
     if m == 1:
         return SingularityReport("Smooth", (), 1, 0, None, 1)
-    structure = squarefree_decomposition(tangent_cone(f))
+    # one squarefree piece per multiplicity of a direction of the tangent cone
+    pieces = dict(squarefree_decomposition(tangent_cone(f)))
     if m == 2:
         return SingularityReport("A", (mu,), 2, mu, None, _branch_count_A(mu))
     if m == 3:
-        return _classify_triple(f, mu, structure)
+        return _classify_triple(f, mu, pieces)
     if m == 4:
-        return _classify_quadruple(f, mu, structure)
+        return _classify_quadruple(f, mu, pieces)
     return _not_hlc(f"multiplicity {m} exceeds 4", m, mu)
 
 
@@ -379,124 +304,73 @@ def _direction_of_line(line: MultiPoly) -> tuple[Fraction, Fraction]:
     return (b, -a)
 
 
-def _classify_triple(f, mu, structure) -> SingularityReport:
-    by_mult = {}
-    for k, piece in structure:
-        by_mult.setdefault(k, []).append(piece)
-    if set(by_mult) == {1}:
+def _classify_triple(f, mu, pieces) -> SingularityReport:
+    if set(pieces) == {1}:
         if mu != 4:
             return _not_hlc(f"ordinary triple point with unexpected milnor {mu}", 3, mu)
         return SingularityReport("D", (4,), 3, 4, None, 3)
-    if 2 in by_mult:
-        doubles = by_mult[2]
-        if len(doubles) == 1 and doubles[0].total_degree() == 1:
-            if mu < 5:
-                return _not_hlc(f"triple point with double direction but milnor {mu}", 3, mu)
-            branches = 3 if mu % 2 == 0 else 2
-            return SingularityReport("D", (mu,), 3, mu, None, branches, doubles[0].primitive())
-        return _not_hlc("triple cone with unexpected double structure", 3, mu)
-    if 3 in by_mult:
-        line = by_mult[3][0]
-        if line.total_degree() != 1:
-            return _not_hlc("triple cone is a perfect cube of higher degree", 3, mu)
-        if mu in (6, 7, 8):
-            branches = {6: 1, 7: 2, 8: 1}[mu]
-            return SingularityReport("E", (mu,), 3, mu, None, branches, line.primitive())
-        if mu < 10:
-            return _not_hlc(f"triple line cone with milnor {mu}", 3, mu)
-        strict = strict_germ_at_direction(f, _direction_of_line(line))
-        s_mult = multiplicity(strict)
-        if s_mult != 3:
-            return _not_hlc(f"infinitely-near multiplicity {s_mult} after a triple line", 3, mu)
-        s_structure = squarefree_decomposition(tangent_cone(strict))
-        ordinary = all(k == 1 for k, _ in s_structure)
-        if ordinary:
-            if mu != 10:
-                return _not_hlc(f"ordinary infinitely-near triple with milnor {mu}", 3, mu)
-            return SingularityReport("J10", (), 3, 10, None, 3, line.primitive())
-        if any(k >= 3 for k, _ in s_structure):
-            return _not_hlc("infinitely-near triple degenerates to a triple direction", 3, mu)
-        p = mu - 10
-        if p < 1:
-            return _not_hlc(f"degenerate infinitely-near triple with milnor {mu}", 3, mu)
-        branches = 3 if (4 + p) % 2 == 0 else 2
-        return SingularityReport("J2", (p,), 3, mu, None, branches, line.primitive())
-    return _not_hlc("unrecognised triple cone", 3, mu)
+    if 2 in pieces:
+        # a cubic cone with a repeated factor is l^2 * l', so pieces[2] is l
+        if mu < 5:
+            return _not_hlc(f"triple point with double direction but milnor {mu}", 3, mu)
+        branches = 3 if mu % 2 == 0 else 2
+        return SingularityReport("D", (mu,), 3, mu, None, branches, pieces[2].primitive())
+    line = pieces[3]   # the cone is l^3
+    if mu in (6, 7, 8):
+        branches = {6: 1, 7: 2, 8: 1}[mu]
+        return SingularityReport("E", (mu,), 3, mu, None, branches, line.primitive())
+    if mu < 10:
+        return _not_hlc(f"triple line cone with milnor {mu}", 3, mu)
+    strict = strict_germ_at_direction(f, _direction_of_line(line))
+    s_mult = multiplicity(strict)
+    if s_mult != 3:
+        return _not_hlc(f"infinitely-near multiplicity {s_mult} after a triple line", 3, mu)
+    s_structure = squarefree_decomposition(tangent_cone(strict))
+    ordinary = all(k == 1 for k, _ in s_structure)
+    if ordinary:
+        if mu != 10:
+            return _not_hlc(f"ordinary infinitely-near triple with milnor {mu}", 3, mu)
+        return SingularityReport("J10", (), 3, 10, None, 3, line.primitive())
+    if any(k >= 3 for k, _ in s_structure):
+        return _not_hlc("infinitely-near triple degenerates to a triple direction", 3, mu)
+    p = mu - 10
+    if p < 1:
+        return _not_hlc(f"degenerate infinitely-near triple with milnor {mu}", 3, mu)
+    branches = 3 if (4 + p) % 2 == 0 else 2
+    return SingularityReport("J2", (p,), 3, mu, None, branches, line.primitive())
 
 
-def _classify_quadruple(f, mu, structure) -> SingularityReport:
-    by_mult: dict[int, list[MultiPoly]] = {}
-    for k, piece in structure:
-        by_mult.setdefault(k, []).append(piece)
-    if any(k >= 3 for k in by_mult):
+def _classify_quadruple(f, mu, pieces) -> SingularityReport:
+    if max(pieces) >= 3:
         return _not_hlc("quadruple cone with a direction of multiplicity >= 3", 4, mu)
-    if set(by_mult) == {1}:
+    if set(pieces) == {1}:
         if mu != 9:
             return _not_hlc(f"ordinary quadruple point with unexpected milnor {mu}", 4, mu)
         return SingularityReport("X", (9,), 4, 9, None, 4)
-    doubles = by_mult[2]
-    double_deg = sum(p.total_degree() for p in doubles)
-    if double_deg == 1:
+    double = pieces[2]
+    if double.total_degree() == 1:
         if mu < 10:
             return _not_hlc(f"degenerate quadruple with milnor {mu}", 4, mu)
-        p = mu
-        k = p - 8
-        branches = 2 + _branch_count_A(k)
-        return SingularityReport("X", (p,), 4, mu, None, branches, doubles[0].primitive())
-    if double_deg == 2:
-        # two repeated directions: either two rational ones or a conjugate pair
-        if len(doubles) == 1 and doubles[0].total_degree() == 2:
-            quad = doubles[0]
-            a = quad.coeff((2, 0))
-            b = quad.coeff((1, 1))
-            c = quad.coeff((0, 2))
-            disc = b * b - 4 * a * c
-            if a == 0 or is_rational_square(disc):
-                dirs = _split_binary_quadratic(quad)
-            else:
-                if (mu - 9) % 2 != 0 or mu < 11:
-                    return _not_hlc(f"conjugate repeated directions with milnor {mu}", 4, mu)
-                r = (mu - 9) // 2
-                return SingularityReport("Y", (r, r), 4, mu, None, 2 * _branch_count_A(r + 1))
-        else:
-            dirs = [_direction_of_line(d) for d in doubles]
-        rs = []
-        for d in dirs:
-            strict = strict_germ_at_direction(f, d)
-            local_mu = milnor_number(strict)
-            if local_mu is None:
-                return _not_hlc("non-isolated infinitely-near structure at a repeated direction", 4, mu)
-            rs.append(local_mu + 1)
-        r, s = sorted(rs)
-        if r < 1 or 9 + r + s != mu:
-            return _not_hlc(f"repeated directions with inconsistent contact ({r},{s}) vs milnor {mu}", 4, mu)
-        branches = _branch_count_A(r + 1) + _branch_count_A(s + 1)
-        return SingularityReport("Y", (r, s), 4, mu, None, branches)
-    return _not_hlc("unrecognised quadruple cone", 4, mu)
-
-
-def _split_binary_quadratic(quad: MultiPoly) -> list[tuple[Fraction, Fraction]]:
-    """Directions of a split binary quadratic in (x, y)."""
-    dirs = []
-    a = quad.coeff((2, 0))
-    b = quad.coeff((1, 1))
-    c = quad.coeff((0, 2))
-    if a == 0:
-        # no x^2 term: quad = y*(b*x + c*y); y spans the direction (1, 0) and
-        # b*x + c*y spans (c, -b)
-        dirs.append((Fraction(1), Fraction(0)))
-        if b != 0:
-            dirs.append((c, -b))
-        return dirs
-    disc = b * b - 4 * a * c
-    rn = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-    for sgn in (1, -1):
-        root = (-b + sgn * rn) / (2 * a)
-        # the factor x - root*y spans the direction (root, 1)
-        dirs.append((Fraction(root), Fraction(1)))
-    if rn == 0:
-        dirs.pop()
-    return dirs
+        branches = 2 + _branch_count_A(mu - 8)
+        return SingularityReport("X", (mu,), 4, mu, None, branches, double.primitive())
+    # two repeated directions, the roots of a quadratic: both rational or a conjugate pair
+    dirs, _ = binary_roots(double)
+    if not dirs:
+        if (mu - 9) % 2 != 0 or mu < 11:
+            return _not_hlc(f"conjugate repeated directions with milnor {mu}", 4, mu)
+        r = (mu - 9) // 2
+        return SingularityReport("Y", (r, r), 4, mu, None, 2 * _branch_count_A(r + 1))
+    rs = []
+    for d in dirs:
+        local_mu = milnor_number(strict_germ_at_direction(f, d))
+        if local_mu is None:
+            return _not_hlc("non-isolated infinitely-near structure at a repeated direction", 4, mu)
+        rs.append(local_mu + 1)
+    r, s = sorted(rs)
+    if r < 1 or 9 + r + s != mu:
+        return _not_hlc(f"repeated directions with inconsistent contact ({r},{s}) vs milnor {mu}", 4, mu)
+    branches = _branch_count_A(r + 1) + _branch_count_A(s + 1)
+    return SingularityReport("Y", (r, s), 4, mu, None, branches)
 
 
 def _classify_nonisolated(f: MultiPoly) -> SingularityReport:

@@ -20,6 +20,8 @@ Z = MultiPoly.var(PLANE_VARS, "z")
 # Default seed of the parameter sampling in the nonexistence suite; the CLI
 # falls back to it when neither --seed nor OCTICA_SEED is given.
 DEFAULT_SEED = 77003
+# Parameter values the nonexistence suite samples per configuration.
+EMPTINESS_SAMPLES = 10
 
 
 @dataclass(slots=True)
@@ -190,14 +192,14 @@ class EmptinessCertificate:
 
 
 def certify_empty_configuration(conditions_builder, n_params: int, label: str,
-                                seed: int = DEFAULT_SEED, samples: int = 10) -> EmptinessCertificate:
+                                seed: int = DEFAULT_SEED) -> EmptinessCertificate:
     """Sample the parametric configuration space and certify that every
     solution of the linear conditions is non-reduced or fails the profile."""
     rng = random.Random(seed)
     reasons = []
     all_invalid = True
     checked = 0
-    for _ in range(samples):
+    for _ in range(EMPTINESS_SAMPLES):
         params = tuple(Fraction(rng.randint(-6, 6)) for _ in range(n_params))
         try:
             conditions, forbidden = conditions_builder(params)

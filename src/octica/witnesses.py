@@ -330,14 +330,11 @@ Q2_122 = normalize_point((1, 2, 1))
 C_122 = (Y * Z + 2 * X * X - 2 * X * Y).primitive()   # flag conic through both quadruples
 
 
-def _skeleton_122(seed, flex_p1: bool, pair_at_q1: bool, pair_at_q2: bool):
+def _skeleton_122(seed, flex_p1: bool, pair_at_q2: bool):
     conds = [MultiplicityAtPoint(Q1_122, 3), MultiplicityAtPoint(Q2_122, 2)]
     if flex_p1:
         conds.append(LineContact(P1, Y, 3))
     conds.append(ConeDirection(P1, Y, 1, 1))
-    if pair_at_q1:
-        lam1 = (2 * X - 2 * Y + Z).primitive()   # tangent of the flag conic at Q1
-        conds.append(ConeDirection(Q1_122, lam1, 3, 1))
     if pair_at_q2:
         lam2 = (-Y + 2 * Z).primitive()          # tangent of the flag conic at Q2
         conds.append(ConeDirection(Q2_122, lam2, 2, 1))
@@ -348,7 +345,7 @@ def _skeleton_122(seed, flex_p1: bool, pair_at_q1: bool, pair_at_q2: bool):
 
 
 def w_N_122_p(seed):
-    return _skeleton_122(seed, False, False, False)
+    return _skeleton_122(seed, False, False)
 
 
 def w_N_122_pp(seed):
@@ -368,15 +365,15 @@ def w_N_122_pp(seed):
 
 
 def w_N_1b22(seed):
-    return _skeleton_122(seed, True, False, False)
+    return _skeleton_122(seed, True, False)
 
 
 def w_N_122b(seed):
-    return _skeleton_122(seed, False, False, True)
+    return _skeleton_122(seed, False, True)
 
 
 def w_N_1b22b(seed):
-    return _skeleton_122(seed, True, False, True)
+    return _skeleton_122(seed, True, True)
 
 
 Q1_CUSP = P4

@@ -1,13 +1,13 @@
 """Test-only helpers: oracles built on the library's local intersection
-numbers, the Sylvester-determinant resultant, random projectivities, the
-small linear systems that the dimension tables quote and the partial order on
-Hodge diamonds."""
+numbers, the Bareiss determinant and the Sylvester-determinant resultant,
+random projectivities, the small linear systems that the dimension tables
+quote and the partial order on Hodge diamonds."""
 from fractions import Fraction
 
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LinearSystem,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS, _det3,
                            condition_ideal_graded_piece, evaluate_at, normalize_point)
-from octica.poly import MultiPoly, _check_resultant_args, det_bareiss, squarefree_decomposition
+from octica.poly import MultiPoly, _check_resultant_args, squarefree_decomposition
 from octica.singclass import intersection_multiplicity_origin, localize
 
 
@@ -61,6 +61,32 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, main: str) -> list[list[MultiPo
             row[r + k] = cg[dg - k]
         rows.append(row)
     return rows
+
+
+def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """Fraction-free determinant; entries must support exact division."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    frame = rows[0][0].vars
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = MultiPoly.const(frame, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return MultiPoly.zero(frame)
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[k][k] * m[r][c] - m[r][k] * m[k][c]).exact_div(prev)
+            m[r][k] = MultiPoly.zero(frame)
+        prev = m[k][k]
+    return m[n - 1][n - 1] * sign
 
 
 def resultant_sylvester(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:

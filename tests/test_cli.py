@@ -263,6 +263,13 @@ def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
         ("param-analyze", {"extra_conditions": [dict(quadruple, order="x")]}),
         ("param-analyze", {"extra_conditions": [{"kind": "contains", "form": "x^9"}]}),
         ("param-analyze", {"kernel_at": 5}),
+        # integer fields take integers only
+        ("linsys", {"degree": 8.9, "conditions": []}),
+        ("linsys", {"degree": 8, "conditions": [dict(quadruple, order=4.7)]}),
+        ("linsys", {"degree": 8, "conditions": [dict(quadruple, order=True)]}),
+        ("linsys", {"degree": 8, "conditions": [dict(quadruple, order="4.7")]}),
+        ("param-analyze", {"nn_order": True}),
+        ("param-analyze", {"degree": 8.0}),
     ]
     for command, data in cases:
         path = tmp_path / "case.json"
@@ -270,6 +277,27 @@ def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
         option = "--constraints" if command == "linsys" else "--family"
         assert main([command, option, str(path)]) == 1, (command, data)
         assert capsys.readouterr().err.startswith("error: "), (command, data)
+
+
+def test_integer_fields_accept_integer_strings(capsys, tmp_path):
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({"degree": "8", "conditions": [
+        {"kind": "multiplicity", "point": ["0", "0", "1"], "order": "4"}]}))
+    assert main(["linsys", "--constraints", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_forms"] == 35
+
+
+@pytest.mark.parametrize("family, message", [
+    ({"degree": -2}, "degree out of supported range"),
+    ({"degree": 13}, "degree out of supported range"),
+    ({"nn_order": 0}, "infinitely-near condition needs n >= 2"),
+    ({"nn_order": 1}, "infinitely-near condition needs n >= 2"),
+])
+def test_param_analyze_checks_family_ranges(capsys, tmp_path, family, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert main(["param-analyze", "--family", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: malformed family file: {message}\n"
 
 
 def test_profile_issues_print_projective_points(capsys):

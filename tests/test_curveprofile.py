@@ -4,9 +4,8 @@ import pytest
 from octica import pointsearch
 from octica.curveprofile import _second_partials, curve_profile
 from octica.linsys import HomForm, PLANE_VARS, apply_transport, evaluate_at, normalize_point
-from octica.pointsearch import (_direction_gcd, _points_on_direction, _roots_of_binary,
-                                common_rational_zeros)
-from octica.poly import MultiPoly, squarefree_part
+from octica.pointsearch import _direction_gcd, _points_on_direction, common_rational_zeros
+from octica.poly import MultiPoly, binary_roots, squarefree_part
 from octica.witnesses import build_witness
 
 X = MultiPoly.var(PLANE_VARS, "x")
@@ -151,7 +150,7 @@ def all_axes_zeros(polys):
             certified = True
             continue
         leftover = squarefree_part(g.rename((u, v)))
-        dirs, _ = _roots_of_binary(leftover, u, v)
+        dirs, _ = binary_roots(leftover)
         clean = True
         for du, dv in dirs:
             pts, ok = _points_on_direction(polys, axis, u, v, du, dv)

@@ -8,11 +8,11 @@ import pytest
 
 from octica import poly
 from octica.linalg import bareiss_echelon, determinantal_divisor, kernel_basis, rank
-from octica.poly import (MultiPoly, VariableMismatch, det_bareiss, monomial_basis,
+from octica.poly import (MultiPoly, VariableMismatch, monomial_basis,
                          poly_gcd, pseudo_remainder, resultant, squarefree_decomposition,
                          squarefree_part)
 
-from local_checks import resultant_sylvester
+from local_checks import det_bareiss, resultant_sylvester
 
 V = ("x", "y", "z")
 X = MultiPoly.var(V, "x")

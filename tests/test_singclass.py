@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from octica.linsys import HomForm, PLANE_VARS
-from octica.poly import MultiPoly, squarefree_decomposition
+from octica.poly import MultiPoly, binary_roots, squarefree_decomposition
 from octica.singclass import (LOCAL_VARS, classify, intersection_multiplicity_origin,
-                              localize, milnor_number, multiplicity, rational_roots,
-                              strict_germ_at_direction, tangent_cone)
+                              localize, milnor_number, multiplicity, strict_germ_at_direction,
+                              tangent_cone)
 
 from local_checks import is_isolated
 
@@ -75,6 +75,28 @@ def test_golden_table_nonisolated():
 def test_symmetric_contact_orders_normalised():
     report = classify(x ** 6 + (x * y) ** 2 + y ** 5)  # contacts 2 and 1, swapped
     assert report.type_string() == "Y1,2"
+
+
+def _sympy_local_milnor(germ, bound=16):
+    """dim Q[x, y]/(f_x, f_y, m^bound), which is the Milnor number at the
+    origin once m^bound lies in the Jacobian ideal there (bound > mu)."""
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y")
+    f = sympy.sympify(str(germ), locals={"x": sx, "y": sy})
+    gens = [sympy.diff(f, sx), sympy.diff(f, sy)] + [sx ** i * sy ** (bound - i) for i in range(bound + 1)]
+    basis = sympy.groebner(gens, sx, sy, order="grevlex")
+    leads = [sympy.Poly(g, sx, sy).monoms(order="grevlex")[0] for g in basis.exprs]
+    return sum(1 for i in range(bound) for j in range(bound - i)
+               if not any(i >= a and j >= b for a, b in leads))
+
+
+def test_conjugate_repeated_directions():
+    # the tangent cone (x^2 + y^2)^2 doubles the two directions (1 : +-i)
+    for germ, name, mu, branches in (((x * x + y * y) ** 2 + x ** 5, "Y1,1", 11, 2),
+                                     ((x * x + y * y) ** 2 + y ** 6, "Y2,2", 13, 4)):
+        report = classify(germ)
+        assert (report.type_string(), report.milnor, report.branches) == (name, mu, branches)
+        assert _sympy_local_milnor(germ) == mu
 
 
 def test_rejections():
@@ -148,9 +170,22 @@ def test_milnor_examples():
     assert milnor_number(x * y) == 1
 
 
-# -- rational roots -------------------------------------------------------------
+# -- rational roots of univariate and binary forms (poly.binary_roots) ----------
 
 T = MultiPoly.var(("t",), "t")
+
+
+def rational_roots(f):
+    """The rational roots r of f(t), after checking that dividing out one
+    factor t - r per root leaves the cofactor."""
+    points, cofactor = binary_roots(f)
+    roots = [r for r, s in points]
+    assert all(s == 1 for r, s in points)
+    product = cofactor
+    for r in roots:
+        product = product * (T - r)
+    assert product == f
+    return roots
 
 
 def _random_univariate(rng):
@@ -179,7 +214,56 @@ def test_rational_roots_match_sympy():
         expr = sympy.sympify(str(f), locals={"t": t})
         want = sorted(Fraction(int(r.p), int(r.q))
                       for r in sympy.Poly(expr, t).ground_roots() if r.is_Rational)
-        assert rational_roots(f, "t") == want, str(f)
+        assert rational_roots(f) == want, str(f)
+
+
+UV = ("u", "v")
+U = MultiPoly.var(UV, "u")
+V = MultiPoly.var(UV, "v")
+
+
+def _random_binary(rng):
+    """A binary form in (u, v): rational linear factors, among them v for the
+    root (1 : 0), and irreducible quadratics, some factors repeated."""
+    f = MultiPoly.const(UV, rng.randint(1, 9))
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.15:
+            factor = V
+        elif kind < 0.7:
+            factor = rng.randint(1, 6) * U + rng.randint(-9, 9) * V
+        else:
+            b = rng.randint(-9, 9)
+            factor = U * U + b * U * V + rng.randint(b * b // 4 + 1, b * b // 4 + 20) * V * V
+        f = f * factor ** rng.choice((1, 1, 2))
+    return f
+
+
+def test_binary_roots_match_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    u, v = sympy.symbols("u v")
+    rng = random.Random(4402)
+    cases = [_random_binary(rng) for _ in range(120)]
+    cases += [V, U, U * V, V ** 3 * (2 * U - 3 * V), U * (U * U + V * V), MultiPoly.const(UV, 7)]
+    for f in cases:
+        _, factors = sympy.factor_list(sympy.sympify(str(f), locals={"u": u, "v": v}), u, v)
+        want, v_power = [], 0
+        for factor, k in factors:
+            p = sympy.Poly(factor, u, v)
+            if p.total_degree() != 1:
+                continue
+            a, b = p.coeff_monomial(u), p.coeff_monomial(v)
+            if a == 0:
+                v_power = k
+            else:
+                want.append(Fraction(int((-b / a).p), int((-b / a).q)))
+        want = ([(Fraction(1), Fraction(0))] if v_power else []) + [(r, Fraction(1)) for r in sorted(want)]
+        roots, cofactor = binary_roots(f)
+        assert roots == want, str(f)
+        product = cofactor * V ** v_power
+        for r, s in roots[1 if v_power else 0:]:
+            product = product * (U - r * V)
+        assert product == f, str(f)
 
 
 @contextlib.contextmanager
@@ -200,8 +284,8 @@ def test_rational_roots_needs_no_factorisation():
     # the constant term is a product of two 19-digit primes
     p, q = 10 ** 18 + 3, 10 ** 18 + 9
     with time_limit(2.0):
-        assert rational_roots(T ** 2 + 3 * T + p * q, "t") == []
-        assert rational_roots((T - p) * (q * T + 1), "t") == [Fraction(-1, q), Fraction(p)]
+        assert rational_roots(T ** 2 + 3 * T + p * q) == []
+        assert rational_roots((T - p) * (q * T + 1)) == [Fraction(-1, q), Fraction(p)]
 
 
 # -- intersection numbers against Fulton's algorithm ------------------------------

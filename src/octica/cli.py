@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None and os.environ.get("OCTICA_SEED"):
-        args.seed = int(os.environ["OCTICA_SEED"])
     try:
+        if args.seed is None and os.environ.get("OCTICA_SEED"):
+            args.seed = _int(os.environ["OCTICA_SEED"])
         return args.func(args)
     except UserError as e:
         if args.json_errors:

@@ -211,17 +211,16 @@ def _primitive_vector(v: list[MultiPoly]) -> list[MultiPoly]:
 # -- determinantal divisors over Q[t] --------------------------------------
 
 
-def determinantal_divisor(rows: list[list[MultiPoly]], r: int, var: str) -> MultiPoly:
-    """gcd of all r x r minors of a matrix over Q[var], via Smith reduction.
+def determinantal_divisor(rows: list[list[MultiPoly]], var: str) -> MultiPoly:
+    """gcd of all r x r minors of a matrix over Q[var], r its rank, via Smith
+    reduction.
 
     Entries live in the one-variable frame (var,), where `divmod_by` is
     Euclidean division.  Unimodular row/column operations preserve every
-    determinantal divisor, so the product of the first r diagonal invariant
-    factors is the answer.
+    determinantal divisor, and the reduction leaves exactly r nonzero
+    diagonal entries, so their product is the answer.
     The result is primitive with positive leading coefficient.
     """
-    if r <= 0:
-        raise ValueError("order must be positive")
     m = [[e for e in row] for row in rows]
     if not m:
         raise ValueError("empty matrix")
@@ -272,18 +271,7 @@ def determinantal_divisor(rows: list[list[MultiPoly]], r: int, var: str) -> Mult
                     break
         diag.append(m[top][top])
         top += 1
-    if len(diag) < r:
-        return MultiPoly.zero(frame)
-    # gcd of r x r minors of the diagonal matrix: gcd over r-subsets of products
-    from itertools import combinations
-
-    out: MultiPoly | None = None
-    for subset in combinations(diag, r):
-        prod = MultiPoly.const(frame, 1)
-        for d in subset:
-            prod = prod * d
-        out = prod if out is None else poly_gcd(out, prod)
-        if out.is_constant():
-            break
-    assert out is not None
+    out = MultiPoly.const(frame, 1)
+    for d in diag:
+        out = out * d
     return out.primitive()

@@ -18,7 +18,7 @@ from typing import Sequence
 from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
 from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
-                     _cross, _degenerate_direction_combos, common_divisibility, condition_rows,
+                     _cross, common_divisibility, condition_rows,
                      evaluate_at, line_coeffs, line_through, normalize_point)
 from .poly import MultiPoly, binary_roots, monomial_basis, poly_gcd, resultant, squarefree_part
 
@@ -92,26 +92,6 @@ def parametric_nn_family(n: int = 3, degree: int = 8, param: str = "t") -> Unive
     return UniversalFamily(degree, (param,), basis)
 
 
-def degenerate_nn_direction_analysis(n: int = 3, degree: int = 6, param: str = "s") -> tuple[UniversalFamily, ParamMatrix]:
-    """Forms with an [n;n]-point at the standard flag whose blown-up tangent
-    cone has a repeated root at the variable direction y/x = s.
-
-    The family is the fixed monomial basis of the [n;n] ideal; the two extra
-    rows (the cone as a binary n-ic vanishes doubly at the direction s) are
-    polynomial in the parameter, so the kernel of the 2-row matrix at each
-    value of s is the degenerate linear system with that second-order datum.
-    """
-    frame_p = (param,)
-    zero = MultiPoly.zero(frame_p)
-    exps = [e for e in monomial_basis(3, degree) if e[0] + 2 * e[1] >= 2 * n]
-    fam_frame = PLANE_VARS + (param,)
-    basis = [MultiPoly.monomial(fam_frame, e + (0,)) for e in exps]
-    family = UniversalFamily(degree, (param,), basis)
-    combos = _degenerate_direction_combos(degree, n, MultiPoly.var(frame_p, param))
-    return family, ParamMatrix([[combo.get(e, zero) for e in exps] for combo in combos], frame_p,
-                               family.size)
-
-
 def build_condition_matrix(family: UniversalFamily, extra_conditions: Sequence[AnchoredCondition]) -> ParamMatrix:
     """M(t) a = 0 characterises family members meeting the extra conditions."""
     rows_q = condition_rows(extra_conditions, family.degree)
@@ -162,11 +142,9 @@ def rank_drop_locus(M: ParamMatrix) -> RankDropLocus:
     r = generic_rank(M)
     if r == 0:
         raise ValueError("zero matrix has no rank-drop locus")
-    g = determinantal_divisor(M.entries, r, M.params[0])
-    if g.is_zero():
-        raise ValueError("matrix does not attain its generic rank")
+    g = determinantal_divisor(M.entries, M.params[0])
     radical = squarefree_part(g) if not g.is_constant() else MultiPoly.const(g.vars, 1)
-    return RankDropLocus(r, g.primitive(), radical)
+    return RankDropLocus(r, g, radical)
 
 
 @dataclass

@@ -4,22 +4,12 @@ Strata are labelled (n; a, b, c, d): n the degree of the doubled part of the
 branch curve, then the numbers of ordinary / degenerate triple points with
 infinitely-near triple point (simply elliptic resp. cuspidal of degree 1) and
 ordinary / degenerate quadruple points (degree 2).  The module carries the
-label combinatorics, component splitting, Hodge and birational lookups, the
-degeneration diagrams, automorphism stabilizer dimensions, and the anchored
-dimension pipelines; explicit witness curves live in `witnesses`.
+label combinatorics, component splitting, Hodge and birational lookups and the
+degeneration diagrams; explicit witness curves live in `witnesses`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .linalg import poly_kernel_basis, rank as q_rank
-from .linsys import (ConeDirection, ContainsCurve, HomForm, MultiplicityAtPoint,
-                     NNPointWithTangent, PLANE_VARS, Point, condition_ideal_graded_piece,
-                     line_coeffs, normalize_point)
-from .paramfam import (build_condition_matrix, compare_kernels_at,
-                       degenerate_nn_direction_analysis, parametric_nn_family)
-from .poly import MultiPoly
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,260 +328,11 @@ def degeneration_graph(scope: str = "simply-elliptic") -> DegenerationGraph:
     raise ValueError(f"unknown scope {scope!r}")
 
 
-# -- stabilizer dimensions ----------------------------------------------------------
-
-
-def _sl3_basis() -> list[list[list[Fraction]]]:
-    mats = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                m = [[Fraction(0)] * 3 for _ in range(3)]
-                m[i][j] = Fraction(1)
-                mats.append(m)
-    d1 = [[Fraction(0)] * 3 for _ in range(3)]
-    d1[0][0], d1[1][1] = Fraction(1), Fraction(-1)
-    d2 = [[Fraction(0)] * 3 for _ in range(3)]
-    d2[1][1], d2[2][2] = Fraction(1), Fraction(-1)
-    return mats + [d1, d2]
-
-
-def _complement_coords(vec: list[Fraction]) -> list[list[Fraction]]:
-    """Two covectors spanning the quotient of Q^3 by the span of vec."""
-    idx = max(range(3), key=lambda i: abs(vec[i]))
-    rows = []
-    for i in range(3):
-        if i == idx:
-            continue
-        row = [Fraction(0)] * 3
-        row[i] = Fraction(1)
-        row[idx] = -vec[i] / vec[idx]
-        rows.append(row)
-    return rows
-
-
-@dataclass(frozen=True)
-class ConfigPoint:
-    point: Point
-
-
-@dataclass(frozen=True)
-class ConfigLine:
-    line: MultiPoly
-
-
-@dataclass(frozen=True)
-class ConfigFlag:
-    point: Point
-    line: MultiPoly
-
-
-@dataclass(frozen=True)
-class ConfigConic:
-    conic: MultiPoly
-
-
-def _conic_matrix(q: MultiPoly) -> list[list[Fraction]]:
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    for (i, j), name in (((0, 0), (2, 0, 0)), ((1, 1), (0, 2, 0)), ((2, 2), (0, 0, 2))):
-        m[i][j] = q.coeff(name)
-    for (i, j), name in (((0, 1), (1, 1, 0)), ((0, 2), (1, 0, 1)), ((1, 2), (0, 1, 1))):
-        m[i][j] = m[j][i] = q.coeff(name) / 2
-    return m
-
-
-def stabilizer_dimension(elements) -> int:
-    """Dimension of the projective stabilizer of the configuration: 8 minus
-    the rank of the infinitesimal action of traceless 3x3 matrices."""
-    basis = _sl3_basis()
-    rows = []
-    for A in basis:
-        row: list[Fraction] = []
-        for el in elements:
-            if isinstance(el, ConfigPoint) or isinstance(el, ConfigFlag):
-                p = normalize_point(el.point)
-                Ap = [sum(A[i][j] * p[j] for j in range(3)) for i in range(3)]
-                for cov in _complement_coords(list(p)):
-                    row.append(sum(c * v for c, v in zip(cov, Ap)))
-            if isinstance(el, ConfigLine) or isinstance(el, ConfigFlag):
-                line = el.line
-                l = list(line_coeffs(line))
-                lA = [sum(l[i] * A[i][j] for i in range(3)) for j in range(3)]
-                for cov in _complement_coords(l):
-                    row.append(-sum(c * v for c, v in zip(cov, lA)))
-            if isinstance(el, ConfigConic):
-                M = _conic_matrix(el.conic)
-                AtM = [[sum(A[k][i] * M[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-                D = [[AtM[i][j] + AtM[j][i] for j in range(3)] for i in range(3)]
-                flatM = [M[0][0], M[0][1], M[0][2], M[1][1], M[1][2], M[2][2]]
-                flatD = [D[0][0], D[0][1], D[0][2], D[1][1], D[1][2], D[2][2]]
-                idx = max(range(6), key=lambda i: abs(flatM[i]))
-                for i in range(6):
-                    if i == idx:
-                        continue
-                    row.append(flatD[i] - flatM[i] / flatM[idx] * flatD[idx])
-        rows.append(row)
-    if not rows or not rows[0]:
-        return 8
-    return 8 - q_rank(rows)
-
-
-# -- expected dimensions and anchored pipelines ---------------------------------------
+# -- expected dimensions -------------------------------------------------------------
 
 
 def expected_dimension(a: int, b: int, c: int, d: int) -> int:
     return 36 - 9 * a - 10 * b - 8 * c - 9 * d
-
-
-def stratum_dimension(free_parameters: int, form_dimensions, stabilizer_dim: int) -> int:
-    """dim = q + sum_i (k_i - 1) - s for anchored configurations whose orbit
-    exhausts the automorphism group action."""
-    if isinstance(form_dimensions, int):
-        form_dimensions = [form_dimensions]
-    return free_parameters + sum(k - 1 for k in form_dimensions) - stabilizer_dim
-
-
-@dataclass
-class PipelineResult:
-    label: StratumLabel
-    form_dimensions: list[int]
-    free_parameters: int
-    stabilizer: int
-    dimension: int
-    expected: int | None = None
-
-    @property
-    def matches(self) -> bool:
-        return self.expected is None or self.dimension == self.expected
-
-
-P1: Point = (Fraction(0), Fraction(0), Fraction(1))
-P2: Point = (Fraction(0), Fraction(1), Fraction(0))
-P3: Point = (Fraction(1), Fraction(0), Fraction(0))
-P4: Point = (Fraction(1), Fraction(1), Fraction(1))
-
-
-def _v(name: str) -> MultiPoly:
-    return MultiPoly.var(PLANE_VARS, name)
-
-
-def _result(label, forms, q, elements, expected) -> PipelineResult:
-    s = stabilizer_dimension(elements)
-    dim = stratum_dimension(q, forms, s)
-    forms = forms if isinstance(forms, list) else [forms]
-    return PipelineResult(label, forms, q, s, dim, expected)
-
-
-def normal_pipelines() -> dict[str, PipelineResult]:
-    """Anchored dimension computations for the normal-locus strata."""
-    x, y, z = _v("x"), _v("y"), _v("z")
-    out: dict[str, PipelineResult] = {}
-
-    k = condition_ideal_graded_piece([], 8).dim_forms
-    out["N_empty"] = _result(L(0, 0, 0, 0, 0), k, 0, [], 36)
-
-    k = condition_ideal_graded_piece([MultiplicityAtPoint(P1, 4)], 8).dim_forms
-    out["N_2"] = _result(L(0, 0, 0, 1, 0), k, 0, [ConfigPoint(P1)], 28)
-
-    k = condition_ideal_graded_piece([NNPointWithTangent(P1, y, 3)], 8).dim_forms
-    out["N_1"] = _result(L(0, 1, 0, 0, 0), k, 0, [ConfigFlag(P1, y)], 27)
-
-    # degenerate [3;3]: second-order direction is one free parameter
-    family, M = degenerate_nn_direction_analysis(n=3, degree=8, param="s")
-    kgen = family.size - 2
-    assert len(poly_kernel_basis(M.entries, family.size, M.params)) == kgen
-    out["N_1b"] = _result(L(0, 0, 1, 0, 0), kgen, 1, [ConfigFlag(P1, y)], 26)
-
-    k = condition_ideal_graded_piece([ConeDirection(P1, y, 4, 2)], 8).dim_forms
-    out["N_2b"] = _result(L(0, 0, 0, 0, 1), k, 0, [ConfigFlag(P1, y)], 27)
-
-    k = condition_ideal_graded_piece(
-        [NNPointWithTangent(P1, y, 3), NNPointWithTangent(P2, z, 3)], 8).dim_forms
-    out["N_11"] = _result(L(0, 2, 0, 0, 0), k, 0, [ConfigFlag(P1, y), ConfigFlag(P2, z)], 18)
-
-    k = condition_ideal_graded_piece(
-        [MultiplicityAtPoint(P1, 4), MultiplicityAtPoint(P2, 4)], 8).dim_forms
-    out["N_22"] = _result(L(0, 0, 0, 2, 0), k, 0, [ConfigPoint(P1), ConfigPoint(P2)], 20)
-
-    k = condition_ideal_graded_piece(
-        [MultiplicityAtPoint(p, 4) for p in (P1, P2, P3)], 8).dim_forms
-    out["N_222"] = _result(L(0, 0, 0, 3, 0), k, 0,
-                           [ConfigPoint(P1), ConfigPoint(P2), ConfigPoint(P3)], 12)
-
-    k = condition_ideal_graded_piece(
-        [MultiplicityAtPoint(p, 4) for p in (P1, P2, P3, P4)], 8).dim_forms
-    out["N_2222"] = _result(L(0, 0, 0, 4, 0), k, 0,
-                            [ConfigPoint(p) for p in (P1, P2, P3, P4)], 4)
-
-    # the two components of one [3;3] plus one quadruple point, via the
-    # parametric tangent family specialised off and on the rank-drop locus
-    fam = parametric_nn_family(n=3, degree=8, param="t")
-    M = build_condition_matrix(fam, [MultiplicityAtPoint(P3, 4)])
-    cmp1 = compare_kernels_at(M, {"t": Fraction(1)})
-    tangent_off = (y - x).primitive()
-    out["N_12_p"] = _result(L(0, 1, 0, 1, 0, "'"), cmp1.special_dim, 0,
-                            [ConfigFlag(P1, tangent_off), ConfigPoint(P3)], 19)
-    cmp0 = compare_kernels_at(M, {"t": Fraction(0)})
-    out["N_12_pp"] = _result(L(0, 1, 0, 1, 0, "''"), cmp0.special_dim, 0,
-                             [ConfigFlag(P1, y), ConfigPoint(P3)], 19)
-    return out
-
-
-def nonnormal_pipelines() -> dict[str, PipelineResult]:
-    """Anchored dimension computations for the non-normal strata."""
-    x, y, z = _v("x"), _v("y"), _v("z")
-    out: dict[str, PipelineResult] = {}
-
-    k = condition_ideal_graded_piece([], 4).dim_forms
-    out["M_4_empty"] = _result(L(4, 0, 0, 0, 0), k, 0, [], 6)
-
-    k2 = condition_ideal_graded_piece([], 2).dim_forms
-    k3 = condition_ideal_graded_piece([], 3).dim_forms
-    out["M_3_empty"] = _result(L(3, 0, 0, 0, 0), [k2, k3], 0, [], 6)
-
-    k4 = condition_ideal_graded_piece([], 4).dim_forms
-    out["M_2_empty"] = _result(L(2, 0, 0, 0, 0), [k4, k2], 0, [], 11)
-
-    k6 = condition_ideal_graded_piece([], 6).dim_forms
-    k1 = condition_ideal_graded_piece([], 1).dim_forms
-    out["M_1_empty"] = _result(L(1, 0, 0, 0, 0), [k6, k1], 0, [], 21)
-
-    # sextic with a quadruple point; the doubled line is anchored away from it
-    k = condition_ideal_graded_piece([MultiplicityAtPoint(P1, 4)], 6).dim_forms
-    out["M_1_2"] = _result(L(1, 0, 0, 1, 0), k, 0, [ConfigPoint(P1), ConfigLine(z)], 13)
-
-    k = condition_ideal_graded_piece([ConeDirection(P1, y, 4, 2)], 6).dim_forms
-    out["M_1_2b"] = _result(L(1, 0, 0, 0, 1), k, 0, [ConfigFlag(P1, y), ConfigLine(z)], 12)
-
-    k = condition_ideal_graded_piece([NNPointWithTangent(P1, y, 3)], 6).dim_forms
-    out["M_1_1"] = _result(L(1, 1, 0, 0, 0), k, 0, [ConfigFlag(P1, y), ConfigLine(z)], 12)
-
-    family, M = degenerate_nn_direction_analysis(n=3, degree=6, param="s")
-    kgen = family.size - 2
-    out["M_1_1b"] = _result(L(1, 0, 1, 0, 0), kgen, 1, [ConfigFlag(P1, y), ConfigLine(z)], 11)
-
-    # two [3;3]-points: every such sextic is a product of three members of the
-    # conic pencil through the flags.  Anchoring the flags and one pencil
-    # member leaves a one-dimensional stabilizer (it rescales the doubled
-    # line, acting trivially on the pencil); the doubled line itself
-    # contributes two free parameters.
-    c1 = (y * z - x * x).primitive()
-    k = condition_ideal_graded_piece(
-        [NNPointWithTangent(P1, y, 3), NNPointWithTangent(P2, z, 3),
-         ContainsCurve(HomForm(c1, 2), 1)], 6).dim_forms
-    out["M_1_11"] = _result(L(1, 2, 0, 0, 0), k, 2,
-                            [ConfigFlag(P1, y), ConfigFlag(P2, z), ConfigConic(c1)], 3)
-
-    # quartic of four concurrent lines times a conic of the anchored pencil
-    kq = condition_ideal_graded_piece(
-        [MultiplicityAtPoint(P4, 4),
-         ContainsCurve(HomForm(((x - z) * (y - z)).primitive(), 2), 1)], 4).dim_forms
-    kc = 2  # the anchored pencil of conics x*y, z^2
-    out["M_2_2"] = _result(L(2, 0, 0, 1, 0), [kq, kc], 0,
-                           [ConfigPoint(P4), ConfigLine((x - z).primitive()),
-                            ConfigLine((y - z).primitive()),
-                            ConfigConic((x * y).primitive()), ConfigConic((z * z).primitive())], 3)
-    return out
 
 
 # -- the catalogue -----------------------------------------------------------------

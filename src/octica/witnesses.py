@@ -18,7 +18,7 @@ from .linsys import (ConeDirection, HomForm, LineContact, MultiplicityAtPoint, N
                      normalize_point, transport_matrix)
 from .poly import MultiPoly
 from .singclass import _chart
-from .strata import L, StratumLabel, _conic_matrix
+from .strata import L, StratumLabel
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -59,6 +59,15 @@ def pick_form(degree: int, conditions, seed: int, avoid_points=(), checks=()) ->
             continue
         return f.primitive()
     raise WitnessConstructionError("no suitable generic member found")
+
+
+def _conic_matrix(q: MultiPoly) -> list[list[Fraction]]:
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    for (i, j), name in (((0, 0), (2, 0, 0)), ((1, 1), (0, 2, 0)), ((2, 2), (0, 0, 2))):
+        m[i][j] = q.coeff(name)
+    for (i, j), name in (((0, 1), (1, 1, 0)), ((0, 2), (1, 0, 1)), ((1, 2), (0, 1, 1))):
+        m[i][j] = m[j][i] = q.coeff(name) / 2
+    return m
 
 
 def _smooth_conic(q: MultiPoly) -> bool:
@@ -451,7 +460,7 @@ def w_N_111b(seed):
     return _on_conic_sextic(seed, degenerate_at={tuple(P3)})
 
 
-def w_N_1b1b1(seed):
+def w_N_11b1b(seed):
     return _on_conic_sextic(seed, degenerate_at={tuple(P2), tuple(P3)})
 
 
@@ -581,7 +590,7 @@ WITNESS_BUILDERS: dict[str, tuple[StratumLabel, callable]] = {
     "N_111_p": (L(0, 3, 0, 0, 0, "'"), w_N_111_p),
     "N_111_pp": (L(0, 3, 0, 0, 0, "''"), w_N_111_pp),
     "N_111b": (L(0, 2, 1, 0, 0), w_N_111b),
-    "N_11b1b": (L(0, 1, 2, 0, 0), w_N_1b1b1),
+    "N_11b1b": (L(0, 1, 2, 0, 0), w_N_11b1b),
     "N_1b1b1b": (L(0, 0, 3, 0, 0), w_N_1b1b1b),
     "N_112_p": (L(0, 2, 0, 1, 0, "'"), w_N_112_p),
     "N_112_pp": (L(0, 2, 0, 1, 0, "''"), w_N_112_pp),

@@ -1,13 +1,18 @@
 """Test-only helpers: oracles built on the library's local intersection
 numbers, the Bareiss determinant and the Sylvester-determinant resultant,
 random projectivities, the small linear systems that the dimension tables
-quote and the partial order on Hodge diamonds."""
+quote, stratum dimensions from one tangent-space rank and the partial order
+on Hodge diamonds."""
+import random
 from fractions import Fraction
 
+from octica.linalg import rank
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LinearSystem,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS, _det3,
-                           condition_ideal_graded_piece, evaluate_at, normalize_point)
-from octica.poly import MultiPoly, _check_resultant_args, squarefree_decomposition
+                           _degenerate_direction_combos, condition_ideal_graded_piece,
+                           evaluate_at, normalize_point)
+from octica.paramfam import ParamMatrix, UniversalFamily
+from octica.poly import MultiPoly, _check_resultant_args, monomial_basis, squarefree_decomposition
 from octica.singclass import intersection_multiplicity_origin, localize
 
 
@@ -171,6 +176,93 @@ def two_33_sextic_pinned_system(p1=(0, 0, 1), t1=None, p2=(0, 1, 0), t2=None,
     return condition_ideal_graded_piece(
         [NNPointWithTangent(p1, t1, 3), NNPointWithTangent(p2, t2, 3),
          ContainsCurve(HomForm(c1.poly * c2.poly, 4), 1)], 6)
+
+
+def degenerate_nn_direction_analysis(n: int = 3, degree: int = 6,
+                                     param: str = "s") -> tuple[UniversalFamily, ParamMatrix]:
+    """Forms with an [n;n]-point at the standard flag whose blown-up tangent
+    cone has a repeated root at the variable direction y/x = s.
+
+    The family is the fixed monomial basis of the [n;n] ideal; the two extra
+    rows (the cone as a binary n-ic vanishes doubly at the direction s) are
+    polynomial in the parameter, so the kernel of the 2-row matrix at each
+    value of s is the degenerate linear system with that second-order datum.
+    """
+    frame_p = (param,)
+    zero = MultiPoly.zero(frame_p)
+    exps = [e for e in monomial_basis(3, degree) if e[0] + 2 * e[1] >= 2 * n]
+    basis = [MultiPoly.monomial(PLANE_VARS + frame_p, e + (0,)) for e in exps]
+    family = UniversalFamily(degree, frame_p, basis)
+    combos = _degenerate_direction_combos(degree, n, MultiPoly.var(frame_p, param))
+    return family, ParamMatrix([[combo.get(e, zero) for e in exps] for combo in combos], frame_p,
+                               family.size)
+
+
+# -- stratum dimensions from one tangent-space rank --------------------------------
+
+
+def family_dimension(factors, seed: int) -> int:
+    """Dimension modulo PGL(3) of the PGL(3)-saturated family of forms
+    W = prod F_i^e_i, each F_i ranging over the span of its basis.
+
+    `factors` lists (basis of forms, exponent e_i).  At W built from seeded
+    integer combinations F_i, the differential of the parametrisation spans
+    the forms e_i (W / F_i) g for g in the i-th basis, and the differential of
+    the PGL(3) action the nine orbit forms x_j dW/dx_i.  By generic
+    smoothness the rank of both together, less one for scaling and eight for
+    PGL(3), is the dimension, provided the nine orbit forms alone have rank 9:
+    then the stabiliser of W is finite.
+    """
+    rng = random.Random(seed)
+    zero = MultiPoly.zero(PLANE_VARS)
+    fs = [sum((g * rng.randint(1, 9) for g in basis), zero) for basis, _ in factors]
+    w = MultiPoly.const(PLANE_VARS, 1)
+    for f, (_, e) in zip(fs, factors):
+        w = w * f ** e
+    tangent = [w.exact_div(f) * g * e for f, (basis, e) in zip(fs, factors) for g in basis]
+    orbit = [MultiPoly.var(PLANE_VARS, xj) * w.derivative(xi)
+             for xi in PLANE_VARS for xj in PLANE_VARS]
+    exps = monomial_basis(3, w.total_degree())
+
+    def coefficients(forms):
+        return [[h.coeff(m) for m in exps] for h in forms]
+
+    assert rank(coefficients(orbit)) == 9, "the stabiliser of W is not finite"
+    return rank(coefficients(tangent + orbit)) - 9
+
+
+def _piece(degree: int, conditions=()) -> list[MultiPoly]:
+    return [h.poly for h in condition_ideal_graded_piece(list(conditions), degree).basis]
+
+
+def dimension_families() -> dict[str, list]:
+    """The factors of a general member of each stratum whose dimension the
+    catalogue quotes, keyed by witness key.  A normal stratum is one graded
+    piece of octics; the doubled part of a non-normal one is a free factor
+    with exponent 2, and M_1's sextic carries the point conditions of N."""
+    x, y, z = (MultiPoly.var(PLANE_VARS, v) for v in PLANE_VARS)
+    p1, p2, p3, p4 = (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)
+    nn = NNPointWithTangent(p1, y, 3)
+    points = {
+        "empty": [],
+        "2": [MultiplicityAtPoint(p1, 4)],
+        "1": [nn],
+        "1b": [NNPointWithTangent(p1, y, 3, direction=1)],
+        "2b": [ConeDirection(p1, y, 4, 2)],
+        "11": [nn, NNPointWithTangent(p2, z, 3)],
+    }
+    out = {f"N_{body}": [(_piece(8, conds), 1)] for body, conds in points.items()}
+    for ps, key in (((p1, p2), "N_22"), ((p1, p2, p3), "N_222"), ((p1, p2, p3, p4), "N_2222")):
+        out[key] = [(_piece(8, [MultiplicityAtPoint(p, 4) for p in ps]), 1)]
+    out["N_12_p"] = [(_piece(8, [NNPointWithTangent(p1, y - x, 3), MultiplicityAtPoint(p3, 4)]), 1)]
+    out["N_12_pp"] = [(_piece(8, [nn, MultiplicityAtPoint(p3, 4)]), 1)]
+    out.update({f"M_1_{body}": [(_piece(6, conds), 1), (_piece(1), 2)]
+                for body, conds in points.items()})
+    out["M_4_empty"] = [(_piece(4), 2)]
+    out["M_3_empty"] = [(_piece(2), 1), (_piece(3), 2)]
+    out["M_2_empty"] = [(_piece(4), 1), (_piece(2), 2)]
+    out["M_2_2"] = [(_piece(4, [MultiplicityAtPoint(p4, 4)]), 1), (_piece(2), 2)]
+    return out
 
 
 # -- the partial order on Hodge diamonds -----------------------------------------

@@ -15,11 +15,11 @@ from octica.paramfam import (build_condition_matrix, compare_kernels_at,
                              parametric_nn_family, rank_drop_locus,
                              verify_no_four_33_points)
 from octica.poly import MultiPoly
-from octica.strata import (catalogue_totals, degeneration_graph, degeneration_rule,
-                           expected_dimension, hodge_type, nonnormal_pipelines,
-                           normal_pipelines)
+from octica.strata import (NONNORMAL_DIMENSIONS, build_catalogue, catalogue_totals,
+                           degeneration_graph, degeneration_rule, expected_dimension,
+                           hodge_type)
 
-from local_checks import hodge_hasse_edges, hodge_leq
+from local_checks import dimension_families, family_dimension, hodge_hasse_edges, hodge_leq
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -68,15 +68,20 @@ def test_criterion_2_parametric_tangent_analysis():
         assert (split.special_multiplicity, split.limit_multiplicity) == (1, 2)
 
 
+def _family_dimensions(prefix):
+    """Tangent-space dimensions of the quoted families, with their labels."""
+    labels = {r.label.ascii_id(): r.label for r in build_catalogue()}
+    return {key: (labels[key], family_dimension(factors, seed=1))
+            for key, factors in dimension_families().items() if key.startswith(prefix)}
+
+
 def test_criterion_3_normal_locus_dimension_loop():
-    with Criterion(3, "anchored pipelines reproduce the 36-9a-10b-8c-9d dimensions", 60):
-        results = normal_pipelines()
+    with Criterion(3, "tangent-space ranks reproduce the 36-9a-10b-8c-9d dimensions", 60):
+        results = _family_dimensions("N_")
         required = {"N_2", "N_1", "N_22", "N_12_p", "N_12_pp", "N_222", "N_2222", "N_11"}
         assert required <= set(results)
-        for key, result in results.items():
-            a, b, c, d = result.label.counts
-            assert result.expected == expected_dimension(a, b, c, d)
-            assert result.dimension == result.expected, key
+        for key, (label, dimension) in results.items():
+            assert dimension == expected_dimension(*label.counts), key
 
 
 def test_criterion_4_nonnormal_dimension_table():
@@ -90,10 +95,13 @@ def test_criterion_4_nonnormal_dimension_table():
         # second-order parameter, 14 with the parameter free
         assert sextic_33_fixed_tangent(degenerate=True).dim_projective + 1 == 14
         assert two_33_sextic_pinned_system().dim_projective == 1
-        dims = {k: r.dimension for k, r in nonnormal_pipelines().items()}
+        results = _family_dimensions("M_")
+        dims = {key: dimension for key, (_, dimension) in results.items()}
         assert dims == {"M_4_empty": 6, "M_3_empty": 6, "M_2_empty": 11, "M_2_2": 3,
                         "M_1_empty": 21, "M_1_2": 13, "M_1_2b": 12, "M_1_1": 12,
                         "M_1_1b": 11, "M_1_11": 3}
+        for key, (label, dimension) in results.items():
+            assert dimension == NONNORMAL_DIMENSIONS[label.match_tuple()], key
 
 
 def test_criterion_5_catalogue_totals():

@@ -215,7 +215,7 @@ def test_catalog_witnesses_use_the_library_seed(monkeypatch):
     assert seeds and set(seeds) == {7}
 
 
-def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
+def test_user_errors_exit_1(capsys, monkeypatch, tmp_path, constraint_file):
     assert main(["classify", "--curve", "x +* y"]) == 1
     err = capsys.readouterr().err
     assert "position" in err
@@ -277,6 +277,15 @@ def test_user_errors_exit_1(capsys, tmp_path, constraint_file):
         option = "--constraints" if command == "linsys" else "--family"
         assert main([command, option, str(path)]) == 1, (command, data)
         assert capsys.readouterr().err.startswith("error: "), (command, data)
+
+    # a seed variable that is no integer, in either error format
+    for value in ("abc", "1.5"):
+        monkeypatch.setenv("OCTICA_SEED", value)
+        assert main(["classify", "--curve", "x*y"]) == 1
+        assert capsys.readouterr().err == f"error: not an integer: {value!r}\n"
+        assert main(["--json-errors", "classify", "--curve", "x*y"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "user",
+                                                       "message": f"not an integer: {value!r}"}
 
 
 def test_integer_fields_accept_integer_strings(capsys, tmp_path):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import octica
 
-ORDER = ("poly", "parsing", "linalg", "linsys", "pointsearch", "singclass", "paramfam",
-         "curveprofile", "strata", "witnesses", "verify", "cli")
+ORDER = ("strata", "poly", "parsing", "linalg", "linsys", "pointsearch", "singclass",
+         "paramfam", "curveprofile", "witnesses", "verify", "cli")
 # (module, function, imported module): the catalogue looks up which components
 # have a witness recipe
 EXCEPTIONS = {("strata", "build_catalogue", "witnesses")}

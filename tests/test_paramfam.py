@@ -10,10 +10,11 @@ from octica.linalg import poly_kernel_basis, rank
 from octica.linsys import AnchorError, MultiplicityAtPoint, PLANE_VARS
 from octica.paramfam import (ParamMatrix, build_condition_matrix, compare_kernels_at,
                              component_split_report, conic_through, conic_gradient,
-                             degenerate_nn_direction_analysis, generic_rank,
-                             parametric_nn_family, rank_drop_locus,
+                             generic_rank, parametric_nn_family, rank_drop_locus,
                              verify_no_four_33_points)
 from octica.poly import MultiPoly, poly_gcd
+
+from local_checks import degenerate_nn_direction_analysis
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")

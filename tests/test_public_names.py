@@ -4,18 +4,13 @@ serves a request.
 A public name counts as used when `src/octica` (the CLI included) or `bench/`
 reads it, by name, attribute or import, outside the statement that defines
 it: a function that only calls itself, or a constant that only its own
-assignment mentions, is unused.  Dunder names are left out.  The names below
-are used only by tests today; the list may only shrink, and a name leaves it
-once it is put to work, moved out of `src` or deleted.
+assignment mentions, is unused.  Dunder names are left out.  A name that
+only tests use belongs in `tests/local_checks.py`.
 """
 import ast
 from pathlib import Path
 
 import octica
-
-TEST_ONLY = {
-    "strata": {"normal_pipelines", "nonnormal_pipelines"},
-}
 
 
 def _defined(node) -> set[str]:
@@ -55,7 +50,7 @@ def test_public_names_are_used_outside_tests():
                 defined.setdefault(path.stem, set()).update(names)
             used |= _read(node) - names
     unused = {module: names - used for module, names in defined.items() if names - used}
-    assert unused == TEST_ONLY
+    assert unused == {}
 
 
 def test_self_reference_is_not_use():

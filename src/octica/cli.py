@@ -171,6 +171,8 @@ def cmd_classify(args) -> int:
     from .singclass import classify, classify_point
 
     poly = _form(args.curve)
+    if poly.is_zero():
+        raise UserError("zero germ")
     if args.point:
         try:
             curve, p = HomForm.of(poly), normalize_point(_point(args.point))
@@ -181,8 +183,6 @@ def cmd_classify(args) -> int:
         report = classify_point(curve, p)
     elif poly.degree_in("z") > 0:
         raise UserError("a trivariate curve needs --point; a germ must use only x and y")
-    elif poly.is_zero():
-        raise UserError("zero germ")
     elif poly.coeff((0, 0, 0)):
         raise UserError("germ does not pass through the origin")
     else:
@@ -197,6 +197,8 @@ def cmd_profile(args) -> int:
     poly = _form(args.curve)
     if not poly.is_homogeneous():
         raise UserError("profile needs a homogeneous curve in x, y, z")
+    if poly.total_degree() < 1:
+        raise UserError("profile needs a curve of positive degree")
     hints = [_point(p) for p in args.point or []]
     try:
         prof = curve_profile(HomForm.of(poly), hint_points=hints)

@@ -4,27 +4,19 @@ A profile locates and classifies every non-simple singularity of a plane
 curve, splits off the doubled part (the conductor of the associated double
 cover), checks the conductor geometry, and decides whether the curve is an
 admissible branch curve.  Points of multiplicity >= 3 carry all non-simple
-behaviour, so the search solves the six second-order partials; simple double
-points never need individual classification.
+behaviour, so one certified point search (`pointsearch`) solves the six
+second-order partials of the reduced part; simple double points never need
+individual classification.  Hint points are never searched from: a hint the
+search found is reported first, any other hint on the curve last.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, invert3,
-                     normalize_point, transport_point)
-from .pointsearch import common_rational_zeros
+from .linsys import HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point
+from .pointsearch import PROJECTIVITIES, common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
 from .singclass import SingularityReport, classify, classify_point, localize
-
-# Fixed coordinate changes tried, in order, when a resultant in the given
-# coordinates cannot certify a point set or a contact bound.
-PROJECTIVITIES = [[[Fraction(c) for c in row] for row in m] for m in (
-    ((3, -3, -1), (2, 0, 1), (0, 2, 0)),
-    ((3, 2, -1), (-1, -2, 1), (1, 4, 1)),
-    ((4, -3, 4), (0, 4, -3), (-1, -4, -2)),
-)]
 
 
 @dataclass(slots=True)
@@ -65,29 +57,6 @@ def _second_partials(f: MultiPoly) -> list[MultiPoly]:
         for b in PLANE_VARS[i:]:
             out.append(f.derivative(a).derivative(b))
     return [p for p in out if not p.is_zero()]
-
-
-def _mult3_points(f: MultiPoly, hints) -> tuple[list[Point], bool]:
-    """Rational points of multiplicity >= 3 on the curve f, certified when
-    possible; retries in the coordinates of PROJECTIVITIES to shed extraneous
-    resultant factors."""
-    system = _second_partials(f)
-    if not system:
-        return [], True
-    pts, certified = common_rational_zeros(system, hints=hints)
-    if certified:
-        return pts, True
-    for A in PROJECTIVITIES:
-        moved = [apply_transport(p, A) for p in system]
-        inv = invert3(A)
-        moved_hints = [transport_point(inv, p) for p in pts + hints]
-        mpts, certified = common_rational_zeros(moved, hints=moved_hints)
-        for p in (transport_point(A, q) for q in mpts):
-            if p not in pts and all(evaluate_at(q, p) == 0 for q in system):
-                pts.append(p)
-        if certified:
-            return pts, True
-    return pts, False
 
 
 def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int) -> bool:
@@ -141,13 +110,10 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
 
     hints = [normalize_point(p) for p in hint_points]
 
-    # locate multiplicity >= 3 points of the part that may carry them
-    if n == 0:
-        carrier = f
-    else:
-        carrier = u if u.total_degree() >= 3 else None
-    if carrier is not None and carrier.total_degree() >= 3:
-        pts, certified = _mult3_points(carrier, hints)
+    # points of multiplicity >= 3 of the reduced part, which is f up to a
+    # constant when nothing is doubled
+    if u.total_degree() >= 3:
+        pts, certified = common_rational_zeros(_second_partials(u))
     else:
         pts, certified = [], True
     profile.mult3_certified = certified
@@ -155,10 +121,8 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
         issues.append("could not certify rationality of all multiple points")
 
     classified: list[Point] = []
-    for p in pts + [h for h in hints if h not in pts]:
-        if p in classified:
-            continue
-        if evaluate_at(f, p) != 0:
+    for p in [h for h in hints if h in pts] + pts + hints:
+        if p in classified or evaluate_at(f, p) != 0:
             continue
         classified.append(p)
         profile.reports.append(classify_point(curve, p))
@@ -192,7 +156,7 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, issues: list[str]) ->
     # doubled part at worst nodal, nodes away from the reduced part
     if v.total_degree() >= 2:
         grads = [v.derivative(w) for w in PLANE_VARS]
-        sing_pts, certified = common_rational_zeros(grads) if any(not g.is_zero() for g in grads) else ([], True)
+        sing_pts, certified = common_rational_zeros(grads)
         if not certified:
             issues.append("could not certify the singular points of the doubled part")
         for p in sing_pts:

@@ -265,21 +265,6 @@ def transport_point(A: list[list[Fraction]], p: Point) -> Point:
     return normalize_point(tuple(sum(A[i][j] * p[j] for j in range(3)) for i in range(3)))
 
 
-def invert3(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    a, b, c = A[0]
-    d, e, f = A[1]
-    g, h, i = A[2]
-    det = _det3(A)
-    if det == 0:
-        raise AnchorError("singular transport matrix")
-    cof = [
-        [(e * i - f * h), -(b * i - c * h), (b * f - c * e)],
-        [-(d * i - f * g), (a * i - c * g), -(a * f - c * d)],
-        [(d * h - e * g), -(a * h - b * g), (a * e - b * d)],
-    ]
-    return [[cof[r][s] / det for s in range(3)] for r in range(3)]
-
-
 # -- condition rows ----------------------------------------------------------
 
 

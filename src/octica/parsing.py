@@ -1,14 +1,18 @@
 """Text grammar for polynomial expressions.
 
-Accepts sums of products of integer or rational literals, variables, powers
-and parenthesised subexpressions, e.g. "x^3 + x*y^3" or "y*z - 2*x^2".
-Errors carry the offending position.
+Accepts sums of products of integer or rational literals (ASCII digits),
+variables, powers and parenthesised subexpressions, e.g. "x^3 + x*y^3" or
+"y*z - 2*x^2", with parentheses and unary minus signs nested at most
+MAX_NESTING deep.  Errors carry the offending position.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .poly import MultiPoly
+
+MAX_NESTING = 100
+_DIGITS = "0123456789"
 
 
 class ParseError(ValueError):
@@ -24,6 +28,7 @@ class _Tokenizer:
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
+        self.nesting = 0
 
     def _scan(self):
         text = self.text
@@ -33,9 +38,9 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("int", text[i:j], i))
                 i = j
@@ -131,15 +136,20 @@ class PolyParser:
             if text not in self.variables:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return MultiPoly.var(self.variables, text)
+        if kind not in ("(", "-"):
+            raise ParseError(f"unexpected token {text!r}", pos)
+        if tz.nesting >= MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos)
+        tz.nesting += 1
         if kind == "(":
             inner = self._expr(tz)
             ckind, _, cpos = tz.next()
             if ckind != ")":
                 raise ParseError("expected ')'", cpos)
-            return inner
-        if kind == "-":
-            return -self._base(tz)
-        raise ParseError(f"unexpected token {text!r}", pos)
+        else:
+            inner = -self._base(tz)
+        tz.nesting -= 1
+        return inner
 
 
 def parse_poly(text: str, variables=("x", "y", "z")) -> MultiPoly:

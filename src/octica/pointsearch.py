@@ -2,29 +2,47 @@
 no further common zeros exist over the complex numbers.
 
 Used to locate every point of multiplicity >= 3 on a curve (the common zeros
-of the six second-order partials).  One coordinate is eliminated through
-pairwise resultants; the rational roots of their gcd give candidate
-directions, each direction is solved exactly, and the certificate checks that
-(a) after removing the factors explained by found rational points nothing
-non-constant survives in the eliminated picture, and (b) on every rational
-direction the restricted system had only rational solutions.  Genuine common
-zeros survive every elimination, extraneous resultant factors do not, so one
-clean elimination direction certifies the whole system, and the search stops
-at the first axis that certifies.
+of the six second-order partials).  The search works in a fixed list of
+coordinate frames.  In each frame x is eliminated through pairwise
+resultants; the rational roots of their gcd are the candidate directions
+(y : z) seen from the frame's vertex A*(1:0:0), and each direction is solved
+exactly.  Every common zero off the vertex lies on a root direction, so the
+frame certifies the whole system when (a) every direction is rational and
+(b) on every direction the restricted system had only rational solutions.
+The search stops at the first frame that certifies.
 """
 from __future__ import annotations
 
-from .linsys import PLANE_VARS, Point, evaluate_at, normalize_point
+from fractions import Fraction
+
+from .linsys import PLANE_VARS, Point, apply_transport, evaluate_at, transport_point
 from .poly import MultiPoly, binary_roots, poly_gcd, resultant, squarefree_part
 
+# Fixed coordinate changes tried, in order, when the curve's own coordinates
+# cannot certify a point set or a contact bound.
+PROJECTIVITIES = [[[Fraction(c) for c in row] for row in m] for m in (
+    ((3, -3, -1), (2, 0, 1), (0, 2, 0)),
+    ((3, 2, -1), (-1, -2, 1), (1, 4, 1)),
+    ((4, -3, 4), (0, 4, -3), (-1, -4, -2)),
+)]
 
-def _pair_resultants(polys, main: str):
-    """The first eight nonzero pairwise resultants eliminating `main`."""
+# The frames of the search, in order: x, y, then z becomes the eliminated
+# first coordinate, the other two keeping their order, in the curve's
+# coordinates and then in those of each projectivity.  A frame A solves
+# f(A u) = 0 and maps each zero u back to A u.
+_IDENTITY = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+FRAMES = [[[row[j] for j in order] for row in A]
+          for A in [_IDENTITY] + PROJECTIVITIES
+          for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+
+
+def _pair_resultants(polys):
+    """The first eight nonzero pairwise resultants eliminating x."""
     out = []
     n = len(polys)
     for i in range(n):
         for j in range(i + 1, n):
-            r = resultant(polys[i], polys[j], main)
+            r = resultant(polys[i], polys[j], "x")
             if not r.is_zero():
                 out.append(r)
                 if len(out) >= 8:
@@ -32,12 +50,12 @@ def _pair_resultants(polys, main: str):
     return out
 
 
-def _direction_gcd(polys, main: str) -> MultiPoly | None:
-    """gcd of the pairwise resultants eliminating `main`, a form in the other
-    two variables; None when no informative resultant exists."""
-    mains = [p for p in polys if p.degree_in(main) > 0]
-    free = [p for p in polys if p.degree_in(main) <= 0]
-    rs = _pair_resultants(mains, main) if len(mains) >= 2 else []
+def _direction_gcd(polys) -> MultiPoly | None:
+    """gcd of the pairwise resultants eliminating x, a form in y and z; None
+    when no informative resultant exists."""
+    mains = [p for p in polys if p.degree_in("x") > 0]
+    free = [p for p in polys if p.degree_in("x") <= 0]
+    rs = _pair_resultants(mains) if len(mains) >= 2 else []
     rs.extend(free)
     if not rs:
         return None
@@ -49,7 +67,7 @@ def _direction_gcd(polys, main: str) -> MultiPoly | None:
     return g
 
 
-def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point], bool]:
+def common_rational_zeros(polys: list[MultiPoly]) -> tuple[list[Point], bool]:
     """All rational projective common zeros of the forms, and a flag which is
     True when the search certifies there is no non-rational common zero."""
     polys = [p for p in polys if not p.is_zero()]
@@ -58,53 +76,33 @@ def common_rational_zeros(polys: list[MultiPoly], hints=()) -> tuple[list[Point]
     found: list[Point] = []
 
     def record(p) -> None:
-        q = normalize_point(p)
-        if q not in found and all(evaluate_at(f, q) == 0 for f in polys):
-            found.append(q)
+        if p not in found and all(evaluate_at(f, p) == 0 for f in polys):
+            found.append(p)
 
-    for p in hints:
-        record(p)
-    for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        record(p)
-
-    # The first axis that certifies ends the search: every common zero off
-    # its vertex lies on a direction it solved, and the vertex is recorded
-    # above, so a later axis could only record points already found.
-    for axis, (u, v) in (("x", ("y", "z")), ("y", ("x", "z")), ("z", ("x", "y"))):
-        g = _direction_gcd(polys, axis)
-        if g is None or g.is_zero():
+    for k, A in enumerate(FRAMES):
+        record(transport_point(A, (1, 0, 0)))
+        moved = [apply_transport(p, A) for p in polys] if k else polys
+        g = _direction_gcd(moved)
+        if g is None:
             continue
-        if g.is_constant():
-            return found, True
-        leftover = squarefree_part(g.rename((u, v)))
-        dirs, _ = binary_roots(leftover)
-        all_dirs_clean = True
-        for (du, dv) in dirs:
-            pts, clean = _points_on_direction(polys, axis, u, v, du, dv)
+        dirs, cofactor = binary_roots(squarefree_part(g.rename(("y", "z"))))
+        certified = cofactor.is_constant()
+        for (dy, dz) in dirs:
+            pts, clean = _points_on_direction(moved, dy, dz)
             for p in pts:
-                record(p)
-            all_dirs_clean = all_dirs_clean and clean
-        # strip the direction factors of every found point from the gcd
-        for p in found:
-            coords = dict(zip(PLANE_VARS, p))
-            lu, lv = coords[u], coords[v]
-            if lu == 0 and lv == 0:
-                continue  # the axis point is invisible in this elimination
-            line = MultiPoly.linear((u, v), (lv, -lu)).primitive()
-            q, r = leftover.divmod_by(line)
-            if r.is_zero():
-                leftover = q
-        if leftover.is_constant() and all_dirs_clean:
+                record(transport_point(A, p))
+            certified = certified and clean
+        if certified:
             return found, True
     return found, False
 
 
-def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:
-    """Rational common zeros with (u : v) = (du : dv), plus a flag telling
-    whether every common zero on that line was rational."""
-    tname = u if dv != 0 else v
+def _points_on_direction(polys, dy, dz) -> tuple[list[Point], bool]:
+    """Rational common zeros with (y : z) = (dy : dz), not normalised, plus a
+    flag telling whether every common zero on that line was rational."""
+    tname = "y" if dz != 0 else "z"
     t = MultiPoly.var(PLANE_VARS, tname)
-    sub = {u: MultiPoly.const(PLANE_VARS, du) * t, v: MultiPoly.const(PLANE_VARS, dv) * t}
+    sub = {"y": MultiPoly.const(PLANE_VARS, dy) * t, "z": MultiPoly.const(PLANE_VARS, dz) * t}
     g = None
     for q in polys:
         r = q.substitute(sub)
@@ -117,12 +115,5 @@ def _points_on_direction(polys, axis, u, v, du, dv) -> tuple[list[Point], bool]:
         # the whole line satisfies the system; cannot happen for the finite
         # singular schemes this is used on, so refuse to certify
         return [], False
-    if g.is_constant():
-        return [], True
-    roots, leftover = binary_roots(squarefree_part(g.rename((axis, tname))))
-    out = []
-    for (ta, tt) in roots:
-        coords = {axis: ta, u: du * tt, v: dv * tt}
-        if any(coords[w] != 0 for w in PLANE_VARS):
-            out.append(normalize_point((coords["x"], coords["y"], coords["z"])))
-    return out, leftover.is_constant()
+    roots, leftover = binary_roots(squarefree_part(g.rename(("x", tname))))
+    return [(tx, dy * tt, dz * tt) for (tx, tt) in roots], leftover.is_constant()

@@ -1,8 +1,8 @@
 """Test-only helpers: oracles built on the library's local intersection
 numbers, the Bareiss determinant and the Sylvester-determinant resultant,
-random projectivities, the small linear systems that the dimension tables
-quote, stratum dimensions from one tangent-space rank and the partial order
-on Hodge diamonds."""
+random projectivities and their inverses, the small linear systems that the
+dimension tables quote, stratum dimensions from one tangent-space rank and
+the partial order on Hodge diamonds."""
 import random
 from fractions import Fraction
 
@@ -111,6 +111,21 @@ def random_projectivity(rng) -> list[list[Fraction]]:
         A = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
         if _det3(A):
             return A
+
+
+def invert3(A: list[list[Fraction]]) -> list[list[Fraction]]:
+    a, b, c = A[0]
+    d, e, f = A[1]
+    g, h, i = A[2]
+    det = _det3(A)
+    if det == 0:
+        raise AnchorError("singular transport matrix")
+    cof = [
+        [(e * i - f * h), -(b * i - c * h), (b * f - c * e)],
+        [-(d * i - f * g), (a * i - c * g), -(a * f - c * d)],
+        [(d * h - e * g), -(a * h - b * g), (a * e - b * d)],
+    ]
+    return [[cof[r][s] / det for s in range(3)] for r in range(3)]
 
 
 def quadruple_point_system(point=(0, 0, 1), degree: int = 8) -> LinearSystem:

@@ -202,8 +202,8 @@ def test_criterion_10_property_suites():
             for vec in kernel_basis(rows):
                 assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows)
 
-        from local_checks import random_projectivity
-        from octica.linsys import transport_point, invert3
+        from local_checks import invert3, random_projectivity
+        from octica.linsys import transport_point
         configs = [
             [MultiplicityAtPoint((0, 0, 1), 4)],
             [MultiplicityAtPoint((0, 0, 1), 2), MultiplicityAtPoint((1, 0, 0), 2)],

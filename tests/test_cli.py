@@ -318,16 +318,47 @@ def test_profile_issues_print_projective_points(capsys):
 @pytest.mark.parametrize("args, message", [
     (["--curve", "x^2 + y^2 + 1"], "germ does not pass through the origin"),
     (["--curve", "0"], "zero germ"),
+    (["--curve", "0", "--point", "0,0,1"], "zero germ"),
     (["--curve", "x*y*z", "--point", "1,1,1"], "point (1:1:1) does not lie on the curve"),
     (["--curve", "x*y*z", "--point", "2,4,-6"], "point (1:2:-3) does not lie on the curve"),
     (["--curve", "x*y*z", "--point", "0,0,0"], "not a projective point: (0, 0, 0)"),
-], ids=["off-origin", "zero", "off-curve", "off-curve-normalised", "zero-vector"])
+], ids=["off-origin", "zero", "zero-at-point", "off-curve", "off-curve-normalised", "zero-vector"])
 def test_classify_rejects_germs_off_the_origin(capsys, args, message):
     # invalid input, caught before the classifier runs (exit 1)
     assert main(["classify"] + args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["--json-errors", "classify"] + args) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "user", "message": message}
+
+
+@pytest.mark.parametrize("curve", ["0", "1", "-3/4"])
+def test_profile_rejects_curves_of_no_positive_degree(capsys, curve):
+    assert main(["profile", "--curve=" + curve]) == 1
+    assert capsys.readouterr().err == "error: profile needs a curve of positive degree\n"
+
+
+@pytest.mark.parametrize("curve", ["x^\u00b2", "x^\u0663+y^2", "\uff11*x^2+y^3"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_parser_reads_ascii_digits_only(capsys, curve):
+    with pytest.raises(ParseError) as err:
+        parse_poly(curve)
+    assert "unexpected character" in str(err.value)
+    assert main(["classify", "--curve", curve]) == 1
+    assert "position" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    parens = "(" * 250 + "x^2+y^3" + ")" * 250
+    signs = "-" * 1500 + "x^2+y^3"
+    for text in (parens, signs):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_poly(text)
+        assert main(["classify", "--curve=" + text]) == 1
+        assert "nested too deeply at position" in capsys.readouterr().err
+    # nesting up to the limit, and long flat sums, still parse
+    assert str(parse_poly("(" * 100 + "x" + ")" * 100)) == "x"
+    assert str(parse_poly("-" * 101 + "x")) == "-x"
+    assert str(parse_poly("+".join(["x*y"] * 20000))) == "20000*x*y"
 
 
 def test_verify_single_lemma(capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from octica import pointsearch
 from octica.curveprofile import _second_partials, curve_profile
-from octica.linsys import HomForm, PLANE_VARS, apply_transport, evaluate_at, normalize_point
-from octica.pointsearch import _direction_gcd, _points_on_direction, common_rational_zeros
+from octica.linsys import HomForm, PLANE_VARS, apply_transport, evaluate_at, transport_point
+from octica.pointsearch import FRAMES, _direction_gcd, _points_on_direction, common_rational_zeros
 from octica.poly import MultiPoly, binary_roots, squarefree_part
 from octica.witnesses import build_witness
 
@@ -126,52 +126,44 @@ def test_two_33_and_two_quadruple_points_profile_as_admissible(matrix, want):
     assert _points_and_tangents(prof) == want
 
 
-AXES = (("x", ("y", "z")), ("y", ("x", "z")), ("z", ("x", "y")))
+def frame_zeros(polys, A):
+    """One frame of the search on its own: the common zeros it records (its
+    vertex and the points on its rational directions, in the curve's
+    coordinates) and whether every direction is rational and clean."""
+    moved = [apply_transport(p, A) for p in polys]
+    pts, certified = [transport_point(A, (1, 0, 0))], False
+    g = _direction_gcd(moved)
+    if g is not None:
+        dirs, cofactor = binary_roots(squarefree_part(g.rename(("y", "z"))))
+        certified = cofactor.is_constant()
+        for dy, dz in dirs:
+            on_line, clean = _points_on_direction(moved, dy, dz)
+            pts += [transport_point(A, p) for p in on_line]
+            certified = certified and clean
+    return [p for p in pts if all(evaluate_at(f, p) == 0 for f in polys)], certified
 
 
-def all_axes_zeros(polys):
-    """The point search over every elimination axis, with no early stop: the
-    reference for a search that stops at its first certified axis."""
-    found = []
-
-    def record(p):
-        q = normalize_point(p)
-        if q not in found and all(evaluate_at(f, q) == 0 for f in polys):
-            found.append(q)
-
-    for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        record(p)
-    certified = False
-    for axis, (u, v) in AXES:
-        g = _direction_gcd(polys, axis)
-        if g is None or g.is_zero():
-            continue
-        if g.is_constant():
-            certified = True
-            continue
-        leftover = squarefree_part(g.rename((u, v)))
-        dirs, _ = binary_roots(leftover)
-        clean = True
-        for du, dv in dirs:
-            pts, ok = _points_on_direction(polys, axis, u, v, du, dv)
-            for p in pts:
-                record(p)
-            clean = clean and ok
-        for p in found:
-            coords = dict(zip(PLANE_VARS, p))
-            lu, lv = coords[u], coords[v]
-            if lu or lv:
-                q, r = leftover.divmod_by(MultiPoly.linear((u, v), (lv, -lu)).primitive())
-                if r.is_zero():
-                    leftover = q
-        certified = certified or (leftover.is_constant() and clean)
+def frame_by_frame_zeros(polys):
+    """The point search frame by frame, each frame transported and solved
+    afresh: all three frames in the curve's coordinates with no early stop,
+    then the projectivities' frames up to the first certificate.  The
+    reference for a search that stops at its first certificate."""
+    found, certified = [], False
+    for k, A in enumerate(FRAMES):
+        if certified and k >= 3:
+            break
+        pts, ok = frame_zeros(polys, A)
+        for p in pts:
+            if p not in found:
+                found.append(p)
+        certified = certified or ok
     return found, certified
 
 
 SEARCH_CURVES = {
     "readme-octic": lambda: N_1122_OCTIC,
     "three-conics": lambda: ((Y * Z - X * X) * (Y * Z - 2 * X * X) * (Y * Z - 3 * X * X)).primitive(),
-    # certified on the second axis, on the first, and on none
+    # all certified in the first frame but M_2_2, which runs all twelve
     "N_12_pp": lambda: build_witness("N_12_pp").curve.poly,
     "N_112_ppp": lambda: build_witness("N_112_ppp").curve.poly,
     "M_2_2": lambda: build_witness("M_2_2").curve.poly,
@@ -181,23 +173,29 @@ SEARCH_CURVES = {
 @pytest.mark.parametrize("name", SEARCH_CURVES)
 def test_point_search_matches_all_axes(name):
     system = _second_partials(SEARCH_CURVES[name]())
-    assert common_rational_zeros(system) == all_axes_zeros(system)
+    assert common_rational_zeros(system) == frame_by_frame_zeros(system)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    function = getattr(pointsearch, name)
+    monkeypatch.setattr(pointsearch, name, lambda *args: calls.append(args) or function(*args))
+    return calls
 
 
 def test_point_search_stops_at_its_first_certificate(monkeypatch):
-    # the README octic certifies on the x axis: no resultant eliminates y or z
-    system = _second_partials(N_1122_OCTIC)
-    eliminated = []
-    resultant = pointsearch.resultant
-
-    def counted(f, g, main):
-        eliminated.append(main)
-        return resultant(f, g, main)
-
-    monkeypatch.setattr(pointsearch, "resultant", counted)
-    found, certified = common_rational_zeros(system)
+    # the README octic certifies in its own coordinates: nothing is transported
+    transported = _counted(monkeypatch, "apply_transport")
+    found, certified = common_rational_zeros(_second_partials(N_1122_OCTIC))
     assert certified and len(found) == 4
-    assert eliminated and set(eliminated) == {"x"}
-    eliminated.clear()
-    all_axes_zeros(system)
-    assert set(eliminated) == {"x", "y", "z"}
+    assert transported == []
+
+
+def test_rational_directions_without_common_zeros_certify(monkeypatch):
+    # N_12_pp's resultant gcd has the direction (1 : 0), whose line holds no
+    # common zero but the vertex; a clean line lets the first frame certify
+    system = _second_partials(build_witness("N_12_pp").curve.poly)
+    frames = _counted(monkeypatch, "_direction_gcd")
+    found, certified = common_rational_zeros(system)
+    assert certified and len(found) == 2
+    assert len(frames) == 1

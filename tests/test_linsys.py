@@ -9,11 +9,11 @@ import pytest
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
                            condition_ideal_graded_piece, condition_rows,
-                           divisibility_multiplicity, evaluate_at, invert3, line_through,
+                           divisibility_multiplicity, evaluate_at, line_through,
                            normalize_point, satisfies_conditions, transport_point)
 from octica.poly import MultiPoly, monomial_basis
 
-from local_checks import (nn_point_system, quadruple_point_system, random_projectivity,
+from local_checks import (invert3, nn_point_system, quadruple_point_system, random_projectivity,
                           sextic_33_fixed_tangent, sextic_degenerate_quadruple_system,
                           sextic_quadruple_system, two_33_sextic_pinned_system,
                           two_33_sextic_system)

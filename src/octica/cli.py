@@ -65,7 +65,7 @@ def _form(text, degree=None) -> MultiPoly:
         poly = parse_poly(str(text))
     except ParseError as e:
         raise UserError(str(e)) from e
-    if degree is not None and not all(sum(e) == degree for e in poly.terms):
+    if degree is not None and (poly.is_zero() or any(sum(e) != degree for e in poly.terms)):
         raise UserError(f"form {text!r} is not homogeneous of degree {degree}")
     return poly
 
@@ -215,12 +215,13 @@ def cmd_param_analyze(args) -> int:
 
     data = _read_json(args.family, "family")
     try:
-        param = str(data.get("parameter", "t"))
+        param = data.get("parameter", "t")
         family = parametric_nn_family(n=_int(data.get("nn_order", 3)),
                                       degree=_int(data.get("degree", 8)), param=param)
         conditions = [parse_condition(c) for c in data.get("extra_conditions", [])]
         M = build_condition_matrix(family, conditions)
         values = [_fraction(v) for v in data.get("kernel_at", [])]
+        line = _form(data["witness_line"], 1) if data.get("witness_line") else None
     except UserError:
         raise
     except (TypeError, ValueError) as e:  # AnchorError is a ValueError
@@ -238,8 +239,7 @@ def cmd_param_analyze(args) -> int:
         entry = {"parameter": str(t0), "special_dim": cmp_.special_dim,
                  "limit_dim": cmp_.limit_dim, "inclusion": cmp_.inclusion_holds,
                  "strict": cmp_.strict}
-        if data.get("witness_line"):
-            line = _form(data["witness_line"], 1)
+        if line is not None:
             rep = component_split_report(family, cmp_, {param: t0}, line)
             entry["witness_line"] = str(line)
             entry["special_multiplicity"] = rep.special_multiplicity

@@ -7,14 +7,18 @@ admissible branch curve.  Points of multiplicity >= 3 carry all non-simple
 behaviour, so one certified point search (`pointsearch`) solves the six
 second-order partials of the reduced part; simple double points never need
 individual classification.  Hint points are never searched from: a hint the
-search found is reported first, any other hint on the curve last.
+search found is reported first, any other hint on the curve last.  Contact
+bounds between the reduced and doubled parts come from resultants in the
+search's own frames, so `pointsearch` alone decides which coordinates are
+tried.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linsys import HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point
-from .pointsearch import PROJECTIVITIES, common_rational_zeros
+from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point,
+                     transport_point)
+from .pointsearch import FRAMES, common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
 from .singclass import SingularityReport, classify, classify_point, localize
 
@@ -61,16 +65,17 @@ def _second_partials(f: MultiPoly) -> list[MultiPoly]:
 
 def _contact_at_most(u: MultiPoly, v: MultiPoly, bound: int) -> bool:
     """Certify that every local intersection multiplicity of the coprime
-    curves u, v is at most `bound`.  Res_x projects from the centre A*(1:0:0).
+    curves u, v is at most `bound`, trying the point search's frames in
+    order.  In frame A, Res_x projects from the centre A*(1:0:0).
     Unless that centre lies on both curves, a root multiplicity of the
     resultant is the sum of the local intersection numbers on its line, so it
     only ever overcounts each of them.  A centre on both curves is skipped:
     there the resultant can undercount."""
-    for A in [None] + PROJECTIVITIES:
-        centre = (1, 0, 0) if A is None else tuple(row[0] for row in A)
+    for k, A in enumerate(FRAMES):
+        centre = transport_point(A, (1, 0, 0))
         if evaluate_at(u, centre) == 0 and evaluate_at(v, centre) == 0:
             continue
-        w = (u, v) if A is None else (apply_transport(u, A), apply_transport(v, A))
+        w = (apply_transport(u, A), apply_transport(v, A)) if k else (u, v)
         try:
             r = resultant(w[0], w[1], "x")
         except ValueError:

@@ -211,15 +211,15 @@ def _primitive_vector(v: list[MultiPoly]) -> list[MultiPoly]:
 # -- determinantal divisors over Q[t] --------------------------------------
 
 
-def determinantal_divisor(rows: list[list[MultiPoly]], var: str) -> MultiPoly:
-    """gcd of all r x r minors of a matrix over Q[var], r its rank, via Smith
-    reduction.
+def determinantal_divisor(rows: list[list[MultiPoly]], var: str) -> tuple[int, MultiPoly]:
+    """The rank r of a matrix over Q[var] and the gcd of all its r x r
+    minors, via Smith reduction.
 
     Entries live in the one-variable frame (var,), where `divmod_by` is
-    Euclidean division.  Unimodular row/column operations preserve every
-    determinantal divisor, and the reduction leaves exactly r nonzero
-    diagonal entries, so their product is the answer.
-    The result is primitive with positive leading coefficient.
+    Euclidean division.  Unimodular row/column operations preserve the rank
+    and every determinantal divisor, and the reduction leaves exactly r
+    nonzero diagonal entries, so their count is the rank and their product
+    the divisor.  The divisor is primitive with positive leading coefficient.
     """
     m = [[e for e in row] for row in rows]
     if not m:
@@ -274,4 +274,4 @@ def determinantal_divisor(rows: list[list[MultiPoly]], var: str) -> MultiPoly:
     out = MultiPoly.const(frame, 1)
     for d in diag:
         out = out * d
-    return out.primitive()
+    return len(diag), out.primitive()

@@ -484,6 +484,6 @@ def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) ->
     return fp.divisor_power(lp)[0]
 
 
-def common_divisibility(forms: Sequence[MultiPoly], l: MultiPoly) -> int:
+def common_divisibility(forms: Sequence[HomForm | MultiPoly], l: MultiPoly) -> int:
     """Largest k with l^k dividing every form (the general member's order)."""
     return min(divisibility_multiplicity(f, l) for f in forms)

@@ -5,9 +5,11 @@ a parameter-dependent basis of forms: their generic rank, the locus where the
 rank drops, and the comparison between the kernel specialised at a parameter
 value and the specialisation of the generic kernel.  A strict inclusion
 between the two detects that a numerically defined family splits into
-separate components.  The module also hosts the conic machinery culminating
-in the certificate that no plane octic carries four triple points with
-infinitely-near triple points.
+separate components.  The module also hosts the certificate that no plane
+octic carries four triple points with infinitely-near triple points.  Its
+conics come from `linsys` condition rows (a tangent flag is contact >= 2
+with a line) and its residual coincidence points from the certified point
+search, so an uncertified search fails the certificate.
 """
 from __future__ import annotations
 
@@ -17,10 +19,11 @@ from typing import Sequence
 
 from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
-from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, Point,
-                     _cross, common_divisibility, condition_rows,
-                     evaluate_at, line_coeffs, line_through, normalize_point)
-from .poly import MultiPoly, binary_roots, monomial_basis, poly_gcd, resultant, squarefree_part
+from .linsys import (AnchoredCondition, AnchorError, HomForm, LineContact, MultiplicityAtPoint,
+                     PLANE_VARS, Point, _cross, common_divisibility, condition_ideal_graded_piece,
+                     condition_rows, evaluate_at, line_through, normalize_point)
+from .pointsearch import common_rational_zeros
+from .poly import MultiPoly, monomial_basis, poly_gcd, squarefree_part
 
 
 @dataclass
@@ -75,6 +78,8 @@ def parametric_nn_family(n: int = 3, degree: int = 8, param: str = "t") -> Unive
     """
     if param in PLANE_VARS:
         raise AnchorError(f"parameter {param!r} clashes with a plane variable")
+    if not (isinstance(param, str) and param.isascii() and param.isidentifier()):
+        raise AnchorError(f"parameter {param!r} is not a name")
     if not 0 <= degree <= 12:
         raise AnchorError("degree out of supported range")
     if n < 2:
@@ -139,10 +144,9 @@ def rank_drop_locus(M: ParamMatrix) -> RankDropLocus:
     """Where a matrix in one parameter drops below its generic rank."""
     if len(M.params) != 1:
         raise ValueError("a rank-drop locus is computed for one parameter only")
-    r = generic_rank(M)
+    r, g = determinantal_divisor(M.entries, M.params[0]) if M.entries else (0, None)
     if r == 0:
         raise ValueError("zero matrix has no rank-drop locus")
-    g = determinantal_divisor(M.entries, M.params[0])
     radical = squarefree_part(g) if not g.is_constant() else MultiPoly.const(g.vars, 1)
     return RankDropLocus(r, g, radical)
 
@@ -210,59 +214,19 @@ def component_split_report(family: UniversalFamily, comparison: KernelComparison
 # -- conics through prescribed data -------------------------------------------
 
 
-CONIC_EXPS = monomial_basis(3, 2)
-
-
-def _conic_eval_row(p: Point) -> list[Fraction]:
-    return [evaluate_at(MultiPoly.monomial(PLANE_VARS, exp), p) for exp in CONIC_EXPS]
-
-
-def _conic_gradient_rows(p: Point, line: MultiPoly) -> list[list[Fraction]]:
-    """Rows forcing grad Q(p) parallel to the line coefficients (two of the
-    three cross-product components suffice; all three are produced and the
-    dependent one discarded)."""
-    l = line_coeffs(line)
-    grads = [[evaluate_at(MultiPoly.monomial(PLANE_VARS, exp).derivative(v), p) for exp in CONIC_EXPS]
-             for v in PLANE_VARS]
-    cross = [
-        [l[2] * a - l[1] * b for a, b in zip(grads[1], grads[2])],
-        [l[0] * a - l[2] * b for a, b in zip(grads[2], grads[0])],
-        [l[1] * a - l[0] * b for a, b in zip(grads[0], grads[1])],
-    ]
-    out = []
-    for row in cross:
-        if any(c != 0 for c in row):
-            cand = out + [row]
-            if rank(cand) > rank(out):
-                out.append(row)
-        if len(out) == 2:
-            break
-    if len(out) != 2:
-        raise AnchorError("degenerate tangency constraint for a conic")
-    return out
-
-
 def conic_through(points: Sequence[Point] = (), flags: Sequence[tuple[Point, MultiPoly]] = ()) -> HomForm:
-    """The unique conic through the given simple points and tangent flags.
+    """The unique conic through the given simple points and tangent flags:
+    the degree-2 graded piece of the conditions, which must have dimension 1.
 
-    Each plain point imposes one condition, each flag two; exactly five
-    independent conditions are required.
+    Each plain point imposes one condition, each flag (point, tangent line)
+    two: the conic passes through the point with contact >= 2 to the line.
     """
-    rows: list[list[Fraction]] = []
-    for p in points:
-        rows.append(_conic_eval_row(normalize_point(p)))
-    for (p, line) in flags:
-        p = normalize_point(p)
-        if evaluate_at(line, p) != 0:
-            raise AnchorError("flag tangent does not pass through its point")
-        rows.extend(_conic_gradient_rows(p, line))
-        rows.append(_conic_eval_row(p))
-    ker = kernel_basis(rows, ncols=6)
-    if len(ker) != 1:
-        raise AnchorError(f"conic constraints are not independent: solution space {len(ker)}")
-    vec = ker[0]
-    terms = {exp: c for exp, c in zip(CONIC_EXPS, vec) if c != 0}
-    return HomForm(MultiPoly(PLANE_VARS, terms).primitive(), 2)
+    conditions = ([MultiplicityAtPoint(p, 1) for p in points] +
+                  [LineContact(p, line, 2) for p, line in flags])
+    basis = condition_ideal_graded_piece(conditions, 2).basis
+    if len(basis) != 1:
+        raise AnchorError(f"conic constraints are not independent: solution space {len(basis)}")
+    return basis[0]
 
 
 def conic_gradient(Q: HomForm, p: Point) -> MultiPoly:
@@ -290,18 +254,26 @@ class FourPointsCertificate:
 
 
 UV = ("u", "v")
+CONIC_EXPS = monomial_basis(3, 2)
 # the substitution (x, y, z) -> (u, v, 1), which evaluates a form at p4 = (u : v : 1)
 AT_P4 = {"x": MultiPoly.var(UV, "u"), "y": MultiPoly.var(UV, "v"), "z": 1}
 
 
-def _symbolic_conic(flag_rows: list[list[Fraction]]) -> list[MultiPoly]:
+def _symbolic_conic(flags: Sequence[tuple[Point, MultiPoly]]) -> list[MultiPoly]:
     """Coefficient vector of the conic through two rational flags and the
     symbolic point (u : v : 1): the kernel of the 5 x 6 condition matrix over
     Q(u, v), cleared to polynomials in u and v."""
+    flag_rows = condition_rows([LineContact(p, line, 2) for p, line in flags], 2)
     rows = [[MultiPoly.const(UV, c) for c in r] for r in flag_rows]
     rows.append([MultiPoly.monomial(PLANE_VARS, exp).substitute(AT_P4, UV) for exp in CONIC_EXPS])
     vec, = poly_kernel_basis(rows, len(CONIC_EXPS), UV)
     return vec
+
+
+def _homogenised(q: MultiPoly) -> MultiPoly:
+    """q(u, v) as the form q(x/z, y/z) * z^deg q."""
+    d = q.total_degree()
+    return MultiPoly(PLANE_VARS, {(a, b, d - a - b): c for (a, b), c in q.terms.items()})
 
 
 def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
@@ -309,7 +281,8 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     variable fourth point, and certify that their tangent directions at the
     fourth point can only coincide on the base conic (or on degenerate
     positions of the fourth point).  With perturb=True a deliberately wrong
-    tangent is used and the certificate must fail (negative control)."""
+    tangent through p2 is used and the certificate must fail (negative
+    control)."""
     p1 = normalize_point((0, 0, 1))
     p2 = normalize_point((0, 1, 0))
     p3 = normalize_point((1, 0, 0))
@@ -320,14 +293,11 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     l2 = (x + z).primitive()
     C0 = conic_through(points=[p3], flags=[(p1, l1), (p2, l2)])
     l3 = conic_gradient(C0, p3)
-    notes = []
-    l2_used = l2 if not perturb else (x + 2 * y + z).primitive()
-    conics = []
-    for flags in (((p2, l2), (p3, l3)),            # C1: misses p1
-                  ((p1, l1), (p3, l3)),            # C2: misses p2
-                  ((p1, l1), (p2, l2_used))):      # C3: misses p3
-        rows = [row for p, line in flags for row in _conic_gradient_rows(normalize_point(p), line)]
-        conics.append(_symbolic_conic(rows))
+    l2_used = l2 if not perturb else (x + 2 * z).primitive()
+    conics = [_symbolic_conic(flags) for flags in (
+        ((p2, l2), (p3, l3)),            # C1: misses p1
+        ((p1, l1), (p3, l3)),            # C2: misses p2
+        ((p1, l1), (p2, l2_used)))]      # C3: misses p3
 
     # tangent line of each conic at p4 = (u : v : 1): its gradient there
     grad_rows = [[MultiPoly.monomial(PLANE_VARS, exp).derivative(w).substitute(AT_P4, UV)
@@ -351,16 +321,9 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
     if any(psi.is_zero() for psi in psis):
         return FourPointsCertificate(C0, psis, [], degenerate_lines, False, [], False, False,
                                      ["a coincidence polynomial vanished identically"])
-    residuals = []
-    divisible = True
-    for psi in psis:
-        qq, rr = psi.divmod_by(c0_uv)
-        if rr.is_zero():
-            residuals.append(qq)
-        else:
-            divisible = False
-            residuals.append(psi)
-    if not divisible:
+    divisions = [psi.divmod_by(c0_uv) for psi in psis]
+    residuals = [q if r.is_zero() else psi for (q, r), psi in zip(divisions, psis)]
+    if any(not r.is_zero() for _, r in divisions):
         return FourPointsCertificate(C0, psis, residuals, degenerate_lines,
                                      False, [], False, False,
                                      ["coincidence polynomials are not divisible by the base conic"])
@@ -379,34 +342,19 @@ def verify_no_four_33_points(perturb: bool = False) -> FourPointsCertificate:
         h = h.exact_div(d)
     curve_part_ok = h.is_constant()
 
-    q1 = residuals[0].exact_div(g) if not g.is_constant() else residuals[0]
-    q2 = residuals[1].exact_div(g) if not g.is_constant() else residuals[1]
-    residual_points: list[tuple[Fraction, Fraction]] = []
-    points_ok = True
-    if not (q1.is_constant() or q2.is_constant()):
-        if q1.degree_in("v") > 0 and q2.degree_in("v") > 0:
-            R = resultant(q1, q2, "v")
-        else:
-            R = q1 if q1.degree_in("v") == 0 else q2
-        if R.is_zero():
+    # the finitely many other common zeros, as points of the plane; those on
+    # z = 0, the line through p2 and p3, are degenerate positions
+    zeros, points_ok = common_rational_zeros([_homogenised(q.exact_div(g)) for q in residuals])
+    notes = [] if points_ok else ["could not certify rationality of all residual coincidence points"]
+    residual_points = sorted((px / pz, py / pz) for px, py, pz in zeros if pz != 0)
+    for (u0, v0) in residual_points:
+        vals = {"u": u0, "v": v0}
+        on_base = c0_uv.evaluate(vals) == 0
+        on_deg = any(l.evaluate(vals) == 0 for l in degenerate_lines)
+        if not (on_base or on_deg):
             points_ok = False
-            notes.append("residual coincidence polynomials share a factor")
-        elif not R.is_constant():
-            for u0, _ in binary_roots(R.rename(("u",)))[0]:
-                sub1 = q1.substitute({"u": u0}).rename(("v",))
-                sub2 = q2.substitute({"u": u0}).rename(("v",))
-                gg = poly_gcd(sub1, sub2)
-                if gg.total_degree() > 0:
-                    for v0, _ in binary_roots(gg)[0]:
-                        residual_points.append((u0, v0))
-            for (u0, v0) in residual_points:
-                vals = {"u": u0, "v": v0}
-                on_base = c0_uv.evaluate(vals) == 0
-                on_deg = any(l.evaluate(vals) == 0 for l in degenerate_lines)
-                if not (on_base or on_deg):
-                    points_ok = False
-                    notes.append(f"residual coincidence point off the base conic: ({u0}, {v0})")
+            notes.append(f"residual coincidence point off the base conic: ({u0}, {v0})")
 
-    holds = divisible and curve_part_ok and points_ok
+    holds = curve_part_ok and points_ok
     return FourPointsCertificate(C0, psis, residuals, degenerate_lines,
                                  curve_part_ok, residual_points, points_ok, holds, notes)

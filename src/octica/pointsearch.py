@@ -26,10 +26,10 @@ PROJECTIVITIES = [[[Fraction(c) for c in row] for row in m] for m in (
     ((4, -3, 4), (0, 4, -3), (-1, -4, -2)),
 )]
 
-# The frames of the search, in order: x, y, then z becomes the eliminated
-# first coordinate, the other two keeping their order, in the curve's
-# coordinates and then in those of each projectivity.  A frame A solves
-# f(A u) = 0 and maps each zero u back to A u.
+# The frames of the search, and of the contact bounds in `curveprofile`, in
+# order: x, y, then z becomes the eliminated first coordinate, the other two
+# keeping their order, in the curve's coordinates and then in those of each
+# projectivity.  A frame A solves f(A u) = 0 and maps each zero u back to A u.
 _IDENTITY = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 FRAMES = [[[row[j] for j in order] for row in A]
           for A in [_IDENTITY] + PROJECTIVITIES

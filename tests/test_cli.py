@@ -129,6 +129,32 @@ def test_param_analyze_rejects_a_plane_variable_as_parameter(capsys, tmp_path):
     assert data["kernels"][0]["strict"]
 
 
+@pytest.mark.parametrize("name", ["", "2", "x y", ["t"]])
+def test_param_analyze_rejects_a_parameter_that_is_not_a_name(capsys, tmp_path, name):
+    # "" and "2" would print wrong loci ("1", "2"); a list is not a JSON string
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"parameter": name, "kernel_at": ["0"]}))
+    assert main(["param-analyze", "--family", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: malformed family file: "
+                                       f"parameter {name!r} is not a name\n")
+
+
+@pytest.mark.parametrize("family", [{"witness_line": "x^2"},
+                                    {"witness_line": "x^2", "kernel_at": ["0", "1"]},
+                                    {"witness_line": "0", "kernel_at": ["0"]}])
+def test_param_analyze_rejects_a_malformed_witness_line_before_any_rank(capsys, tmp_path,
+                                                                        monkeypatch, family):
+    # the line is read with the other family fields: with or without
+    # kernel values, and before any rank is computed
+    import octica.paramfam
+    monkeypatch.setattr(octica.paramfam, "generic_rank", lambda M: pytest.fail("rank computed"))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert main(["param-analyze", "--family", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: form {family['witness_line']!r} "
+                                       "is not homogeneous of degree 1\n")
+
+
 def test_param_analyze_without_conditions_keeps_the_whole_family(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"kernel_at": ["0"]}))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from octica import paramfam
 from octica.linalg import poly_kernel_basis, rank
 from octica.linsys import AnchorError, MultiplicityAtPoint, PLANE_VARS
 from octica.paramfam import (ParamMatrix, build_condition_matrix, compare_kernels_at,
@@ -255,6 +256,29 @@ def _eval_uv(cert, u0, v0):
 def test_four_points_certificate_negative_control():
     cert = verify_no_four_33_points(perturb=True)
     assert not cert.holds
+    assert cert.notes == ["coincidence polynomials are not divisible by the base conic"]
+
+
+def test_four_points_certificate_golden_fields():
+    cert = verify_no_four_33_points()
+    assert str(cert.base_conic) == "x*y + x*z + y*z"
+    assert [str(p) for p in cert.coincidence_polys] == [
+        "-2*u*v^3 - 4*u*v^2 - 2*v^3 - 2*u*v - 2*v^2",
+        "-2*u^3*v - 2*u^3 - 4*u^2*v - 2*u^2 - 2*u*v"]
+    assert [str(p) for p in cert.residuals] == ["-2*v^2 - 2*v", "-2*u^2 - 2*u"]
+    assert [str(p) for p in cert.degenerate_lines] == ["u", "v", "1", "u + v", "u + 1", "v + 1"]
+    assert cert.residual_points == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+    assert cert.residual_curve_part_explained and cert.residual_points_on_base
+    assert cert.holds and cert.notes == []
+
+
+def test_four_points_certificate_needs_a_certified_residual_search(monkeypatch):
+    # an uncertified point search may have missed an irrational residual
+    # coincidence point, so the certificate must not hold
+    monkeypatch.setattr(paramfam, "common_rational_zeros", lambda polys: ([], False))
+    cert = verify_no_four_33_points()
+    assert not cert.holds and not cert.residual_points_on_base
+    assert cert.notes == ["could not certify rationality of all residual coincidence points"]
 
 
 def test_four_points_certificate_symmetric_rerun():

@@ -428,7 +428,7 @@ def test_determinantal_divisor_matches_gcd_of_minors():
     for rows in cases:
         # the rank: the largest order with a nonzero minor
         r = max(r for r in range(1, len(rows) + 1) if not _minor_gcd(rows, r).is_zero())
-        assert determinantal_divisor(rows, "t") == _minor_gcd(rows, r).primitive()
+        assert determinantal_divisor(rows, "t") == (r, _minor_gcd(rows, r).primitive())
     assert (t * t + one).divmod_by(t)[1] == one
 
 

@@ -210,8 +210,8 @@ def cmd_profile(args) -> int:
 
 def cmd_param_analyze(args) -> int:
     from .paramfam import (build_condition_matrix, compare_kernels_at,
-                           component_split_report, generic_rank,
-                           parametric_nn_family, rank_drop_locus)
+                           component_split_report, parametric_nn_family,
+                           rank_drop_locus)
 
     data = _read_json(args.family, "family")
     try:
@@ -227,10 +227,11 @@ def cmd_param_analyze(args) -> int:
     except (TypeError, ValueError) as e:  # AnchorError is a ValueError
         raise UserError(f"malformed family file: {e}") from e
     out = {"family_size": family.size, "rows": M.rows, "cols": M.cols}
-    r = generic_rank(M)
-    out["generic_rank"] = r
-    if r:
+    out["generic_rank"] = 0
+    if any(e for row in M.entries for e in row):
+        # the Smith reduction of the locus gives the generic rank too
         locus = rank_drop_locus(M)
+        out["generic_rank"] = locus.generic_rank
         out["rank_drop_locus"] = str(locus.radical)
         out["minor_gcd"] = str(locus.minor_gcd)
     comparisons = []

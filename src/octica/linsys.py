@@ -27,7 +27,7 @@ from math import gcd
 from typing import Sequence
 
 from .linalg import kernel_basis
-from .poly import MultiPoly, monomial_basis
+from .poly import MultiPoly, _monomial_images, monomial_basis
 
 PLANE_VARS = ("x", "y", "z")
 _ZERO = Fraction(0)
@@ -268,31 +268,6 @@ def transport_point(A: list[list[Fraction]], p: Point) -> Point:
 # -- condition rows ----------------------------------------------------------
 
 
-def _monomial_images(degree: int, A: list[list[Fraction]]) -> list[MultiPoly]:
-    imgs_var = [MultiPoly.linear(PLANE_VARS, row) for row in A]
-    pow_cache = [{0: MultiPoly.const(PLANE_VARS, 1)} for _ in range(3)]
-
-    def power(i: int, e: int) -> MultiPoly:
-        cache = pow_cache[i]
-        if e not in cache:
-            k = max(k for k in cache if k <= e)
-            p = cache[k]
-            while k < e:
-                p = p * imgs_var[i]
-                k += 1
-                cache[k] = p
-        return cache[e]
-
-    out = []
-    for exp in monomial_basis(3, degree):
-        m = MultiPoly.const(PLANE_VARS, 1)
-        for i, e in enumerate(exp):
-            if e:
-                m = m * power(i, e)
-        out.append(m)
-    return out
-
-
 def condition_rows(conditions: Sequence[AnchoredCondition], degree: int) -> list[list[Fraction]]:
     """Linear constraint rows over the canonical degree-d monomial basis.
 
@@ -325,17 +300,17 @@ def condition_rows(conditions: Sequence[AnchoredCondition], degree: int) -> list
             combos = _branch_jet_combos(degree, cond.kappa, cond.order)
         else:
             raise TypeError(f"unknown condition {cond!r}")
-        images = _monomial_images(degree, A)
+        # the transported monomials, as integer numerators over a denominator
+        images = _monomial_images([MultiPoly.linear(PLANE_VARS, row) for row in A], basis)
         for combo in [{exp: 1} for exp in killed] + combos:
             row = []
-            for img in images:
-                total = _ZERO
+            for nums, den in images:
+                total = 0
                 for kexp, w in combo.items():
-                    c = img.terms.get(kexp)
+                    c = nums.get(kexp)
                     if c:
-                        c = c if w == 1 else w * c
-                        total = total + c if total else c
-                row.append(total)
+                        total += c if w == 1 else w * c
+                row.append(Fraction(total, den) if total else _ZERO)
             rows.append(row)
     return rows
 
@@ -477,10 +452,6 @@ def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) ->
     """Largest k with l^k dividing f; f nonzero, l nonconstant."""
     fp = f.poly if isinstance(f, HomForm) else f
     lp = l.poly if isinstance(l, HomForm) else l
-    if lp.is_zero() or lp.is_constant():
-        raise ValueError("divisor must be nonconstant")
-    if fp.is_zero():
-        raise ValueError("dividend must be nonzero")
     return fp.divisor_power(lp)[0]
 
 

@@ -3,7 +3,7 @@ no further common zeros exist over the complex numbers.
 
 Used to locate every point of multiplicity >= 3 on a curve (the common zeros
 of the six second-order partials).  The search works in a fixed list of
-coordinate frames.  In each frame x is eliminated through pairwise
+coordinate frames.  In each frame x is eliminated through two pairwise
 resultants; the rational roots of their gcd are the candidate directions
 (y : z) seen from the frame's vertex A*(1:0:0), and each direction is solved
 exactly.  Every common zero off the vertex lies on a root direction, so the
@@ -37,7 +37,9 @@ FRAMES = [[[row[j] for j in order] for row in A]
 
 
 def _pair_resultants(polys):
-    """The first eight nonzero pairwise resultants eliminating x."""
+    """The first two nonzero pairwise resultants eliminating x.  A factor
+    their gcd shares by accident only adds a direction that is solved and
+    found empty, or an irrational one that leaves the frame uncertified."""
     out = []
     n = len(polys)
     for i in range(n):
@@ -45,13 +47,13 @@ def _pair_resultants(polys):
             r = resultant(polys[i], polys[j], "x")
             if not r.is_zero():
                 out.append(r)
-                if len(out) >= 8:
+                if len(out) >= 2:
                     return out
     return out
 
 
 def _direction_gcd(polys) -> MultiPoly | None:
-    """gcd of the pairwise resultants eliminating x, a form in y and z; None
+    """gcd of two pairwise resultants eliminating x, a form in y and z; None
     when no informative resultant exists."""
     mains = [p for p in polys if p.degree_in("x") > 0]
     free = [p for p in polys if p.degree_in("x") <= 0]

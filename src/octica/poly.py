@@ -6,14 +6,21 @@ and derived bases are reproducible bit for bit.  Parameter rings such as
 QQ[t][x,y,z] are handled with a flat variable frame (x, y, z, t, ...) plus
 coefficient-grouping views; there is never any floating point.
 
-Two kernels carry most of the work.  A product writes each operand's terms
-as integer numerators over the lcm of its denominators, sums the products of
-numerators as ints for each exponent, and makes one reduced Fraction per
-nonzero result term.  Division by one polynomial keeps a single working dict
-and a heap of its exponents that pops the grevlex-leading one first; each
-quotient term is subtracted in place, term by term of the divisor, so there
-is no intermediate polynomial and no rescan for the leading term (Johnson
-1974; Monagan and Pearce, CASC 2007).
+The kernels work on integer numerators: an operand's terms are written once
+as ints over the lcm of its denominators, the work is done in Python ints,
+and each nonzero result term becomes one reduced Fraction.  A product sums
+the products of numerators for each exponent.  A substitution keeps one
+table of integer powers per variable image and scales every term to a
+common denominator.  Exact division (`exact_div`, `divides`,
+`divisor_power`) divides integer primitive parts, whose quotient is integral
+by Gauss's lemma, and the contents apart.  A pseudo-remainder and the
+subresultant sequence of a resultant run on the numerators and scale back at
+the end.  Division runs on a single working dict and a heap of its exponents
+that pops the grevlex-leading one first; each quotient term is subtracted in
+place, term by term of the divisor, so there is no intermediate polynomial
+and no rescan for the leading term (Johnson 1974; Monagan and Pearce, CASC
+2007).  `divmod_by`, the one division that returns a remainder, does this
+in Fractions.
 
 A gcd is first tried by the heuristic gcd (Char, Geddes, Gonnet 1989) on
 integer primitive parts: variables are evaluated at large integers down to
@@ -28,6 +35,9 @@ import math
 from fractions import Fraction
 from operator import add, ge, sub
 from typing import Mapping, Sequence
+
+# A polynomial of the integer kernels: exponent tuple -> nonzero int.
+_Ints = dict[tuple[int, ...], int]
 
 
 class VariableMismatch(ValueError):
@@ -194,14 +204,7 @@ class MultiPoly:
         self._check_frame(other)
         t1, d1 = self._numerators()
         t2, d2 = other._numerators()
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for e1, n1 in t1:
-            for e2, n2 in t2:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + n1 * n2
-        den = d1 * d2
-        return MultiPoly._of(self.vars, {exp: Fraction(n, den) for exp, n in acc.items() if n})
+        return _over(self.vars, _addmul({}, t1, t2), d1 * d2)
 
     __rmul__ = __mul__
 
@@ -280,24 +283,17 @@ class MultiPoly:
                 images.append(img)
             else:
                 images.append(MultiPoly.const(target_vars, img))
-        result = MultiPoly(target_vars)
-        # Horner-free expansion with cached powers; fine at the sizes in play.
-        powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.const(target_vars, 1)} for _ in self.vars]
-        for exp, c in self.sorted_terms():
-            term = MultiPoly.const(target_vars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        k = max(k for k in cache if k <= e)
-                        p = cache[k]
-                        while k < e:
-                            p = p * images[i]
-                            k += 1
-                            cache[k] = p
-                    term = term * cache[e]
-            result = result + term
-        return result
+        terms, den = self._numerators()
+        products = _monomial_images(images, terms)
+        # every term over the common denominator of its monomial's image
+        common = math.lcm(*(d for _, d in products))
+        acc: _Ints = {}
+        get = acc.get
+        for n, (image, d) in zip(terms.values(), products):
+            n *= common // d
+            for exp, c in image.items():
+                acc[exp] = get(exp, 0) + n * c
+        return _over(target_vars, acc, den * common)
 
     def rename(self, target_vars: Sequence[str]) -> "MultiPoly":
         """Re-express in a different frame, each variable under its own name."""
@@ -341,10 +337,10 @@ class MultiPoly:
 
     # -- content, division, gcd ---------------------------------------
 
-    def _numerators(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    def _numerators(self) -> tuple[_Ints, int]:
         """Terms as integer numerators over the lcm of the denominators, and that lcm."""
         den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return [(exp, c.numerator * (den // c.denominator)) for exp, c in self.terms.items()], den
+        return {exp: c.numerator * (den // c.denominator) for exp, c in self.terms.items()}, den
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer, primitive; sign from the leading term."""
@@ -402,23 +398,43 @@ class MultiPoly:
                         del work[m]
         return MultiPoly._of(self.vars, q), MultiPoly._of(self.vars, r)
 
+    def _quotient(self, divisor: "MultiPoly") -> "MultiPoly | None":
+        """self / divisor when the division is exact, else None.
+
+        The integer primitive parts divide by `_div_int` and the contents
+        apart: a primitive divisor of an integer polynomial leaves an integer
+        quotient (Gauss's lemma)."""
+        self._check_frame(divisor)
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        if self.is_zero():
+            return self
+        f, nf, df = _integer_primitive(self)
+        g, ng, dg = _integer_primitive(divisor)
+        q = _div_int(g, f)
+        return None if q is None else _over(self.vars, q, df * ng, nf * dg)
+
     def divisor_power(self, divisor: "MultiPoly") -> tuple[int, "MultiPoly"]:
         """The largest k with divisor^k dividing this nonzero polynomial, and
-        the quotient by divisor^k."""
-        k, f = 0, self
-        while True:
-            q, r = f.divmod_by(divisor)
-            if r:
-                return k, f
+        the quotient by divisor^k; the divisor must be nonconstant."""
+        self._check_frame(divisor)
+        if divisor.is_constant():
+            raise ValueError("divisor must be nonconstant")
+        if self.is_zero():
+            raise ValueError("dividend must be nonzero")
+        f, nf, df = _integer_primitive(self)
+        g, ng, dg = _integer_primitive(divisor)
+        k = 0
+        while (q := _div_int(g, f)) is not None:
             k, f = k + 1, q
+        return k, _over(self.vars, f, df * ng ** k, nf * dg ** k)
 
     def divides(self, other: "MultiPoly") -> bool:
-        q, r = other.divmod_by(self)
-        return r.is_zero()
+        return other._quotient(self) is not None
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        q, r = self.divmod_by(divisor)
-        if not r.is_zero():
+        q = self._quotient(divisor)
+        if q is None:
             raise ValueError("division is not exact")
         return q
 
@@ -474,6 +490,89 @@ def monomial_basis(num_vars: int, degree: int) -> list[tuple[int, ...]]:
     return exps
 
 
+# -- integer kernels ------------------------------------------------------
+# The Fraction kernels write their operands as `_Ints` once, work in ints
+# and make one Fraction per result term (`_over`).
+
+
+def _over(frame: tuple[str, ...], terms: _Ints, den: int, num: int = 1) -> MultiPoly:
+    """The polynomial with the coefficients num*c/den for the integer terms c."""
+    return MultiPoly._of(frame, {e: Fraction(num * c, den) for e, c in terms.items() if c})
+
+
+def _addmul(acc: _Ints, a: _Ints, b: _Ints) -> _Ints:
+    """acc + a*b, in place; cancelled terms stay in acc as zeros."""
+    get = acc.get
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            acc[exp] = get(exp, 0) + n1 * n2
+    return acc
+
+
+def _mul_int(a: _Ints, b: _Ints) -> _Ints:
+    return {e: c for e, c in _addmul({}, a, b).items() if c}
+
+
+def _pow_int(a: _Ints, k: int, one: _Ints) -> _Ints:
+    out = one
+    for _ in range(k):
+        out = _mul_int(out, a)
+    return out
+
+
+def _degree_int(a: _Ints, i: int) -> int:
+    return max((e[i] for e in a), default=-1)
+
+
+def _monomial_images(images: Sequence[MultiPoly], exps) -> list[tuple[_Ints, int]]:
+    """For each exponent e, the integer numerators N and the denominator d of
+    prod images[i]**e[i] = N/d.
+
+    Each image's powers are one integer table over the powers of its
+    denominator, and exponents with a common prefix share its product."""
+    nums = [img._numerators() for img in images]
+    one = {(0,) * len(images[0].vars): 1}
+    tables: list[list[_Ints]] = [[one] for _ in images]
+    prefixes: dict[tuple[int, ...], tuple[_Ints, int]] = {}
+    out = []
+    for exp in exps:
+        product, den = one, 1
+        for k in range(len(exp)):
+            e = exp[k]
+            if not e:
+                continue
+            key = exp[:k + 1]
+            hit = prefixes.get(key)
+            if hit is None:
+                table, (n, d) = tables[k], nums[k]
+                while len(table) <= e:
+                    table.append(_mul_int(table[-1], n))
+                hit = prefixes[key] = (table[e] if product is one else _mul_int(product, table[e]),
+                                       den * d ** e)
+            product, den = hit
+        out.append((product, den))
+    return out
+
+
+def _prem_int(A: _Ints, B: _Ints, i: int) -> _Ints:
+    """prem(A, B) in the i-th variable for integer polynomials, B of degree
+    db >= 0 in it: lc(B)^(degA-db+1) * A = Q*B + prem, and A itself when
+    degA < db."""
+    da, db = _degree_int(A, i), _degree_int(B, i)
+    lb = {e[:i] + (0,) + e[i + 1:]: c for e, c in B.items() if e[i] == db}
+    R = A
+    for _ in range(da - db + 1):
+        dr = _degree_int(R, i)
+        if dr < db:
+            R = _mul_int(R, lb)
+            continue
+        # -lc(R) * main^(dr - db), read off R by shifting exponents
+        shifted = {e[:i] + (dr - db,) + e[i + 1:]: -c for e, c in R.items() if e[i] == dr}
+        R = {e: c for e, c in _addmul(_addmul({}, R, lb), shifted, B).items() if c}
+    return R
+
+
 # Tries of the heuristic gcd before poly_gcd falls back to the remainder
 # sequence; each try grows the evaluation point as Char, Geddes and Gonnet do.
 _HEU_GCD_TRIES = 6
@@ -494,7 +593,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.primitive()
     if f.is_constant() and g.is_constant():
         return MultiPoly.const(f.vars, 1)
-    h = _heu_gcd(_integer_primitive(f), _integer_primitive(g))
+    h = _heu_gcd(_integer_primitive(f)[0], _integer_primitive(g)[0])
     if h is None:
         return _prs_gcd(f, g)
     if h[max(h, key=grevlex_key)] < 0:
@@ -502,14 +601,15 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly._of(f.vars, {e: Fraction(c) for e, c in h.items()})
 
 
-def _integer_primitive(p: MultiPoly) -> dict[tuple[int, ...], int]:
-    """The terms of a nonzero polynomial scaled to coprime integers."""
-    terms, _ = p._numerators()
-    c = math.gcd(*(n for _, n in terms))
-    return {e: n // c for e, n in terms}
+def _integer_primitive(p: MultiPoly) -> tuple[_Ints, int, int]:
+    """The terms of a nonzero polynomial scaled to coprime integers, and the
+    positive content num/den that p is those terms times."""
+    terms, den = p._numerators()
+    c = math.gcd(*terms.values())
+    return {e: n // c for e, n in terms.items()}, c, den
 
 
-def _heu_gcd(f: dict[tuple[int, ...], int], g: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int] | None:
+def _heu_gcd(f: _Ints, g: _Ints) -> _Ints | None:
     """gcd over Z of two nonzero integer polynomials (exponent -> coefficient),
     or None when _HEU_GCD_TRIES evaluation points give no certified candidate.
 
@@ -536,28 +636,28 @@ def _heu_gcd(f: dict[tuple[int, ...], int], g: dict[tuple[int, ...], int]) -> di
             h = _interpolate_int(h, i, xi)
             ch = math.gcd(*h.values())
             h = {e: c // ch for e, c in h.items()}
-            if _divides_int(h, f) and _divides_int(h, g):
+            if _div_int(h, f) is not None and _div_int(h, g) is not None:
                 return {e: c * content for e, c in h.items()}
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def _evaluate_int(f: dict[tuple[int, ...], int], i: int, xi: int) -> dict[tuple[int, ...], int]:
+def _evaluate_int(f: _Ints, i: int, xi: int) -> _Ints:
     """f with its i-th variable set to xi, in the same frame."""
     powers = [1]
     for _ in range(max(e[i] for e in f)):
         powers.append(powers[-1] * xi)
-    out: dict[tuple[int, ...], int] = {}
+    out: _Ints = {}
     for e, c in f.items():
         k = e[:i] + (0,) + e[i + 1:]
         out[k] = out.get(k, 0) + c * powers[e[i]]
     return {e: c for e, c in out.items() if c}
 
 
-def _interpolate_int(h: dict[tuple[int, ...], int], i: int, xi: int) -> dict[tuple[int, ...], int]:
+def _interpolate_int(h: _Ints, i: int, xi: int) -> _Ints:
     """The polynomial whose i-th variable carries the symmetric xi-adic digits
     of the coefficients of h (free of that variable)."""
-    out: dict[tuple[int, ...], int] = {}
+    out: _Ints = {}
     half = xi // 2
     k = 0
     while h:
@@ -575,29 +675,33 @@ def _interpolate_int(h: dict[tuple[int, ...], int], i: int, xi: int) -> dict[tup
     return out
 
 
-def _divides_int(d: dict[tuple[int, ...], int], f: dict[tuple[int, ...], int]) -> bool:
-    """Whether the primitive integer polynomial d divides f exactly.
+def _div_int(d: _Ints, f: _Ints) -> _Ints | None:
+    """The quotient f/d of two integer polynomials when it exists and has
+    integer coefficients, else None; d is nonzero.
 
     Grevlex division as in `MultiPoly.divmod_by`, stopped at the first
-    remainder term or non-integral quotient term: a primitive divisor of an
-    integer polynomial leaves an integer quotient (Gauss's lemma)."""
+    remainder term or non-integral quotient term.  An exact quotient is
+    integral when d is primitive (Gauss's lemma), or when it is a quotient of
+    the subresultant sequence, so there None means that d does not divide f."""
     lexp = max(d, key=grevlex_key)
     lc = d[lexp]
     tail = [(e, c) for e, c in d.items() if e != lexp]
     work = dict(f)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapq.heapify(heap)
+    q: _Ints = {}
     while heap:
         exp = heapq.heappop(heap)[2]
         c = work.pop(exp, None)
         if c is None:
             continue
         if not all(map(ge, exp, lexp)):
-            return False
+            return None
         qc, r = divmod(c, lc)
         if r:
-            return False
+            return None
         diff = tuple(map(sub, exp, lexp))
+        q[diff] = qc
         for e, dc in tail:
             m = tuple(map(add, diff, e))
             s = work.get(m)
@@ -608,7 +712,7 @@ def _divides_int(d: dict[tuple[int, ...], int], f: dict[tuple[int, ...], int]) -
                 work[m] = s - qc * dc
             else:
                 del work[m]
-    return True
+    return q
 
 
 def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -667,26 +771,20 @@ def _homogeneous_gcd(f: MultiPoly, g: MultiPoly, i: int) -> MultiPoly:
 
 
 def pseudo_remainder(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
-    """prem(A, B) in (R[rest])[main]:  lc(B)^(degA-degB+1) * A = Q*B + prem."""
+    """prem(A, B) in (R[rest])[main]:  lc(B)^(degA-degB+1) * A = Q*B + prem.
+
+    Computed on the integer numerators: with A = NA/a and B = NB/b,
+    prem(A, B) = prem(NA, NB) / (a * b^(degA-degB+1))."""
+    A._check_frame(B)
     da = A.degree_in(main)
     db = B.degree_in(main)
     if db < 0:
         raise ZeroDivisionError("pseudo-division by zero")
     if da < db:
         return A
-    lb = B.coeff_of(main, db)
-    i = A.vars.index(main)
-    R = A
-    for _ in range(da - db + 1):
-        dr = R.degree_in(main)
-        if dr < db or R.is_zero():
-            R = R * lb
-            continue
-        # lc(R) * main^(dr - db), read off R by shifting exponents
-        shifted = MultiPoly._of(R.vars, {exp[:i] + (dr - db,) + exp[i + 1:]: c
-                                         for exp, c in R.terms.items() if exp[i] == dr})
-        R = R * lb - shifted * B
-    return R
+    na, a = A._numerators()
+    nb, b = B._numerators()
+    return _over(A.vars, _prem_int(na, nb, A.vars.index(main)), a * b ** (da - db + 1))
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
@@ -742,42 +840,47 @@ def resultant(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
     """Resultant eliminating `main`, equal including sign to the determinant of
     the Sylvester matrix with the coefficients of f in the top rows.
 
-    Computed by a subresultant remainder sequence, which is much faster than
-    the determinant on the sizes appearing in curve analysis.
+    Computed by a subresultant remainder sequence on the integer numerators,
+    which is much faster than the determinant on the sizes appearing in curve
+    analysis: with f = F/a and g = G/b, Res(f, g) = Res(F, G) / (a^deg g * b^deg f).
     """
     _check_resultant_args(f, g, main)
-    A, B = f, g
-    swapped = False
-    if A.degree_in(main) < B.degree_in(main):
-        A, B = B, A
-        swapped = True
-    one = MultiPoly.const(f.vars, 1)
-    g_, h_ = one, one
+    nf, a = f._numerators()
+    ng, b = g._numerators()
+    r = _resultant_int(nf, ng, f.vars.index(main))
+    return _over(f.vars, r, a ** g.degree_in(main) * b ** f.degree_in(main))
+
+
+def _resultant_int(A: _Ints, B: _Ints, i: int) -> _Ints:
+    """Res(A, B) eliminating the i-th variable, for integer polynomials of
+    positive degree in it, by Cohen's subresultant sequence; every division
+    in it is exact over the integers."""
+    one = {(0,) * len(next(iter(A))): 1}
+    da, db = _degree_int(A, i), _degree_int(B, i)
     s = 1
-    da, db = A.degree_in(main), B.degree_in(main)
-    if swapped and (da * db) % 2 == 1:
-        s = -s
-    while True:
-        da, db = A.degree_in(main), B.degree_in(main)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
+    if da < db:
+        A, B, da, db = B, A, db, da
+        if da * db % 2:
             s = -s
-        R = pseudo_remainder(A, B, main)
-        A = B
-        if R.is_zero():
-            return MultiPoly.zero(f.vars)
-        denom = g_ * h_ ** delta
-        B = R.exact_div(denom)
-        g_ = A.coeff_of(main, A.degree_in(main))
+    g, h = one, one
+    while True:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        R = _prem_int(A, B, i)
+        A, da = B, db
+        if not R:
+            return {}
+        B = _div_int(_mul_int(g, _pow_int(h, delta, one)), R)
+        g = {e[:i] + (0,) + e[i + 1:]: c for e, c in A.items() if e[i] == da}
         if delta > 0:
-            h_ = (g_ ** delta).exact_div(h_ ** (delta - 1))
-        if B.degree_in(main) <= 0:
+            h = _div_int(_pow_int(h, delta - 1, one), _pow_int(g, delta, one))
+        db = _degree_int(B, i)
+        if db <= 0:
             break
-    # B is now constant in main (nonzero); finish Cohen's formula
-    dA = A.degree_in(main)
-    lB = B  # degree 0 in main
-    h_ = (lB ** dA).exact_div(h_ ** (dA - 1)) if dA >= 1 else h_
-    return h_ * s
+    # B is now a nonzero constant in the variable; finish Cohen's formula
+    h = _div_int(_pow_int(h, da - 1, one), _pow_int(B, da, one))
+    return {e: s * c for e, c in h.items()}
 
 
 # -- rational roots ------------------------------------------------------
@@ -812,7 +915,7 @@ def binary_roots(f: MultiPoly) -> tuple[list[tuple[Fraction, Fraction]], MultiPo
         f = squarefree_part(f)
     nums, _ = f._numerators()
     a = [0] * (f.total_degree() + 1)
-    for (k,), c in nums:
+    for (k,), c in nums.items():
         a[k] = c
     found = []
     if a[0] == 0:   # a squarefree or linear polynomial has u at most once

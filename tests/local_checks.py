@@ -1,6 +1,7 @@
 """Test-only helpers: oracles built on the library's local intersection
-numbers, the Bareiss determinant and the Sylvester-determinant resultant,
-random projectivities and their inverses, the small linear systems that the
+numbers, schoolbook Fraction references for substitution, division and
+pseudo-remainders, the Bareiss determinant and the Sylvester-determinant
+resultant, random projectivities and their inverses, the small linear systems that the
 dimension tables quote, stratum dimensions from one tangent-space rank and
 the partial order on Hodge diamonds."""
 import random
@@ -12,7 +13,8 @@ from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, L
                            _degenerate_direction_combos, condition_ideal_graded_piece,
                            evaluate_at, normalize_point)
 from octica.paramfam import ParamMatrix, UniversalFamily
-from octica.poly import MultiPoly, _check_resultant_args, monomial_basis, squarefree_decomposition
+from octica.poly import (MultiPoly, _check_resultant_args, grevlex_key, monomial_basis,
+                         squarefree_decomposition)
 from octica.singclass import intersection_multiplicity_origin, localize
 
 
@@ -39,6 +41,72 @@ def is_isolated(f: MultiPoly) -> bool:
         if mult >= 2 and piece.evaluate({"x": 0, "y": 0}) == 0:
             return False
     return True
+
+
+# -- schoolbook references on Fraction terms ------------------------------------
+
+
+def _terms_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def substitute_reference(f: MultiPoly, images: dict, frame) -> MultiPoly:
+    """f with every variable sent to its image in `frame`, one Fraction
+    term times one image at a time."""
+    frame = tuple(frame)
+    out = {}
+    for exp, c in f.terms.items():
+        term = {(0,) * len(frame): c}
+        for v, e in zip(f.vars, exp):
+            for _ in range(e):
+                term = _terms_mul(term, images[v].terms)
+        out = _terms_add(out, term)
+    return MultiPoly(frame, out)
+
+
+def divide_reference(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Grevlex division of f by g: the leading term of what is left either
+    divides by the leading term of g or moves to the remainder."""
+    lexp, lc = g.leading_term()
+    q, r, left = {}, {}, dict(f.terms)
+    while left:
+        exp = max(left, key=grevlex_key)
+        if all(a >= b for a, b in zip(exp, lexp)):
+            m = {tuple(a - b for a, b in zip(exp, lexp)): left[exp] / lc}
+            q.update(m)
+            left = _terms_add(left, _terms_mul(m, g.terms), -1)
+        else:
+            r[exp] = left.pop(exp)
+    return MultiPoly(f.vars, q), MultiPoly(f.vars, r)
+
+
+def prem_reference(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
+    """lc(B)^(degA-degB+1) * A - Q*B, one leading coefficient at a time."""
+    i = A.vars.index(main)
+    da, db = A.degree_in(main), B.degree_in(main)
+    if da < db:
+        return A
+    lb = {e[:i] + (0,) + e[i + 1:]: c for e, c in B.terms.items() if e[i] == db}
+    R = dict(A.terms)
+    for _ in range(da - db + 1):
+        dr = max((e[i] for e in R), default=-1)
+        lead = {e[:i] + (dr - db,) + e[i + 1:]: c for e, c in R.items() if e[i] == dr}
+        R = _terms_mul(R, lb)
+        if dr >= db:
+            R = _terms_add(R, _terms_mul(lead, B.terms), -1)
+    return MultiPoly(A.vars, R)
 
 
 # -- resultants ----------------------------------------------------------------
@@ -88,7 +156,9 @@ def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
                 return MultiPoly.zero(frame)
         for r in range(k + 1, n):
             for c in range(k + 1, n):
-                m[r][c] = (m[k][k] * m[r][c] - m[r][k] * m[k][c]).exact_div(prev)
+                q, rem = divide_reference(m[k][k] * m[r][c] - m[r][k] * m[k][c], prev)
+                assert rem.is_zero()
+                m[r][c] = q
             m[r][k] = MultiPoly.zero(frame)
         prev = m[k][k]
     return m[n - 1][n - 1] * sign

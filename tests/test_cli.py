@@ -100,7 +100,10 @@ def test_classify_at_point(capsys):
     assert data["type"] == "A1"
 
 
-def test_param_analyze_command(capsys, family_file):
+def test_param_analyze_command(capsys, family_file, monkeypatch):
+    # one elimination: the generic rank comes with the rank-drop locus
+    import octica.paramfam
+    monkeypatch.setattr(octica.paramfam, "generic_rank", lambda M: pytest.fail("rank computed twice"))
     assert main(["param-analyze", "--family", family_file]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["generic_rank"] == 10
@@ -148,6 +151,7 @@ def test_param_analyze_rejects_a_malformed_witness_line_before_any_rank(capsys, 
     # kernel values, and before any rank is computed
     import octica.paramfam
     monkeypatch.setattr(octica.paramfam, "generic_rank", lambda M: pytest.fail("rank computed"))
+    monkeypatch.setattr(octica.paramfam, "rank_drop_locus", lambda M: pytest.fail("rank computed"))
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family))
     assert main(["param-analyze", "--family", str(path)]) == 1
@@ -163,6 +167,18 @@ def test_param_analyze_without_conditions_keeps_the_whole_family(capsys, tmp_pat
     assert (data["family_size"], data["rows"], data["cols"], data["generic_rank"]) == (33, 0, 33, 0)
     at0, = data["kernels"]
     assert (at0["special_dim"], at0["limit_dim"], at0["strict"]) == (33, 33, False)
+
+
+def test_param_analyze_of_a_zero_matrix_has_rank_zero_and_no_locus(capsys, tmp_path):
+    # the family's [3;3]-point already makes (0:0:1) a double point, so the
+    # extra condition gives three zero rows
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kernel_at": ["0"], "extra_conditions": [
+        {"kind": "multiplicity", "point": ["0", "0", "1"], "order": 2}]}))
+    assert main(["param-analyze", "--family", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["rows"], data["generic_rank"]) == (3, 0)
+    assert "rank_drop_locus" not in data and "minor_gcd" not in data
 
 
 def test_catalog_json(capsys):

@@ -8,11 +8,13 @@ import pytest
 
 from octica import poly
 from octica.linalg import bareiss_echelon, determinantal_divisor, kernel_basis, rank
+from octica.linsys import MultiplicityAtPoint, apply_transport, condition_rows
 from octica.poly import (MultiPoly, VariableMismatch, monomial_basis,
                          poly_gcd, pseudo_remainder, resultant, squarefree_decomposition,
                          squarefree_part)
 
-from local_checks import det_bareiss, resultant_sylvester
+from local_checks import (det_bareiss, divide_reference, prem_reference, resultant_sylvester,
+                          substitute_reference)
 
 V = ("x", "y", "z")
 X = MultiPoly.var(V, "x")
@@ -28,6 +30,25 @@ def random_poly(rng, frame=V, max_deg=3, terms=4, size=5):
             exp[rng.randrange(len(frame))] += 1
         out[tuple(exp)] = Fraction(rng.randint(-size, size), rng.randint(1, 3))
     return MultiPoly(frame, out)
+
+
+def _negative_lead(p):
+    """p or -p, whichever has a negative leading coefficient."""
+    return -p if p and p.leading_term()[1] > 0 else p
+
+
+def poly_of_degree(rng, main, degree, frame=V):
+    """A random polynomial of the given degree in `main`, with non-integral
+    coefficients and, half of the time, a negative leading coefficient."""
+    i = frame.index(main)
+    low = random_poly(rng, frame, max_deg=degree, terms=4)
+    lead = [0] * len(frame)
+    lead[i] = degree
+    lead[rng.choice([k for k in range(len(frame)) if k != i])] += rng.randint(0, 1)
+    terms = {e: c for e, c in low.terms.items() if e[i] < degree}
+    terms[tuple(lead)] = Fraction(rng.choice((-7, -5, 5, 7)), rng.choice((2, 3)))
+    p = MultiPoly(frame, terms)
+    return _negative_lead(p) if rng.random() < 0.5 else p
 
 
 def test_monomial_basis_counts():
@@ -183,12 +204,12 @@ def form_gcd_cases():
     return cases
 
 
-def _sympy_frame():
+def _sympy_frame(frame=V):
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("x y z")
+    gens = sympy.symbols(frame)
 
     def to_sympy(p):
-        return sympy.Poly(sympy.sympify(str(p), locals=dict(zip(V, gens))), *gens, domain="QQ")
+        return sympy.Poly(sympy.sympify(str(p), locals=dict(zip(frame, gens))), *gens, domain="QQ")
 
     return sympy, gens, to_sympy
 
@@ -276,7 +297,8 @@ def test_heuristic_evaluation_points_meet_the_bound(monkeypatch):
 
 
 def test_trial_division_certificate_matches_division():
-    # the heuristic accepts a candidate only when this exact test passes
+    # the heuristic accepts a candidate only when this exact test passes, and
+    # its quotient is the one the remainder-returning division finds
     rng = random.Random(1309)
     for _ in range(60):
         d = random_poly(rng, max_deg=3, terms=3).primitive()
@@ -286,8 +308,13 @@ def test_trial_division_certificate_matches_division():
         for f in (d * q, d * q + random_poly(rng, max_deg=2, terms=2)):
             if f.is_zero():
                 continue
-            ints = [{e: int(c) for e, c in p.primitive().terms.items()} for p in (d, f)]
-            assert poly._divides_int(*ints) == d.divides(f), (str(d), str(f))
+            f = f.primitive()
+            ints = [{e: int(c) for e, c in p.terms.items()} for p in (d, f)]
+            quotient, remainder = f.divmod_by(d)
+            got = poly._div_int(*ints)
+            assert (got is not None) == remainder.is_zero(), (str(d), str(f))
+            if got is not None:
+                assert MultiPoly(V, got) == quotient
 
 
 def _all_fractions(*polys):
@@ -328,7 +355,9 @@ def test_division_and_product_match_sympy():
 def test_pseudo_remainder_matches_sympy():
     # sympy.prem uses the same exponent deg A - deg B + 1 on lc(B); exact
     # multiples and gapped dividends also take the steps where deg R drops by
-    # more than one
+    # more than one.  The result also equals the schoolbook Fraction loop, and
+    # lc(B)^(da-db+1) * A = Q*B + prem with deg prem < db, where Q is the
+    # exact quotient of the left side minus prem
     sympy, gens, to_sympy = _sympy_frame()
     rng = random.Random(63)
     checked = 0
@@ -342,10 +371,18 @@ def test_pseudo_remainder_matches_sympy():
             f = f * g
         elif checked % 4 == 2:
             f = f.substitute({V[main]: MultiPoly.var(V, V[main]) ** 2})
+        elif checked % 4 == 3:
+            f, g = _negative_lead(f), _negative_lead(g)
         ours = pseudo_remainder(f, g, V[main])
         assert _all_fractions(ours)
         theirs = sympy.prem(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[main])
         assert to_sympy(ours) == sympy.Poly(theirs, *gens, domain="QQ"), (str(f), str(g), V[main])
+        assert ours == prem_reference(f, g, V[main])
+        df, dg = f.degree_in(V[main]), g.degree_in(V[main])
+        if df >= dg:
+            scaled = g.coeff_of(V[main], dg) ** (df - dg + 1) * f
+            assert ours.degree_in(V[main]) < dg
+            assert (scaled - ours).exact_div(g) * g + ours == scaled
         checked += 1
 
 
@@ -363,6 +400,126 @@ def test_resultant_matches_sympy_with_sign():
         theirs = sympy.resultant(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[2])
         assert to_sympy(res) == sympy.Poly(theirs, *gens, domain="QQ"), (str(f), str(g))
         checked += 1
+
+
+def test_substitute_matches_sympy_and_the_fraction_reference():
+    # polynomial, constant and zero images, given as polynomials or as
+    # numbers, into the same frame and into a larger one
+    big = V + ("t",)
+    rng = random.Random(1901)
+    for k in range(48):
+        frame = big if k % 2 else V
+        sympy, gens, to_sympy = _sympy_frame(frame)
+        f = _negative_lead(random_poly(rng, max_deg=4, terms=5))
+        mapping, images = {}, {}
+        for v in V:
+            kind = rng.randrange(4)
+            if kind == 0:
+                images[v] = mapping[v] = random_poly(rng, frame, max_deg=2, terms=3)
+            elif kind == 1:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                mapping[v] = c if k % 4 < 2 else MultiPoly.const(frame, c)
+                images[v] = MultiPoly.const(frame, c)
+            elif kind == 2:
+                mapping[v] = Fraction(0) if k % 4 < 2 else MultiPoly.zero(frame)
+                images[v] = MultiPoly.zero(frame)
+            else:
+                images[v] = MultiPoly.var(frame, v)
+        ours = f.substitute(mapping, frame)
+        assert _all_fractions(ours)
+        assert ours == substitute_reference(f, images, frame), (str(f), mapping)
+        at = {sympy.Symbol(v): to_sympy(images[v]).as_expr() for v in V}
+        theirs = sympy.sympify(str(f)).subs(at, simultaneous=True)
+        assert to_sympy(ours) == sympy.Poly(sympy.expand(theirs), *gens, domain="QQ"), (str(f), mapping)
+
+
+def test_exact_division_matches_sympy_and_the_fraction_reference():
+    sympy, gens, to_sympy = _sympy_frame()
+    rng = random.Random(1902)
+    exact = inexact = 0
+    for f, g in division_cases(rng):
+        f, g = _negative_lead(f), _negative_lead(g) if rng.random() < 0.5 else g
+        q_ref, r_ref = divide_reference(f, g)
+        assert g.divides(f) == r_ref.is_zero(), (str(f), str(g))
+        (sq,), sr = sympy.reduced(to_sympy(f).as_expr(), [to_sympy(g).as_expr()], *gens, order="grevlex")
+        assert (sr == 0) == r_ref.is_zero()
+        if r_ref.is_zero():
+            q = f.exact_div(g)
+            assert _all_fractions(q)
+            assert q == q_ref and q * g == f, (str(f), str(g))
+            assert to_sympy(q) == sympy.Poly(sq, *gens, domain="QQ")
+            exact += 1
+        else:
+            with pytest.raises(ValueError, match="not exact"):
+                f.exact_div(g)
+            inexact += 1
+    assert exact > 10 and inexact > 10
+    g = _negative_lead(random_poly(rng))
+    assert MultiPoly.zero(V).exact_div(g).is_zero() and g.divides(MultiPoly.zero(V))
+    with pytest.raises(ZeroDivisionError):
+        g.exact_div(MultiPoly.zero(V))
+
+
+def test_divisor_power_on_rational_coefficients():
+    line = Fraction(-2, 3) * X + Fraction(1, 2) * Y
+    rest = Fraction(5, 7) * X * Z - Y * Y
+    k, q = (Fraction(-3, 4) * line ** 3 * rest).divisor_power(line)
+    assert (k, q) == (3, Fraction(-3, 4) * rest)
+    assert rest.divisor_power(line) == (0, rest)
+
+
+def test_divisor_power_rejects_a_zero_dividend():
+    with pytest.raises(ValueError, match="dividend must be nonzero"):
+        MultiPoly(("x", "y")).divisor_power(MultiPoly.var(("x", "y"), "x"))
+
+
+def test_divisor_power_rejects_a_constant_divisor():
+    for divisor in (MultiPoly.const(V, Fraction(-2, 3)), MultiPoly.zero(V)):
+        with pytest.raises(ValueError, match="divisor must be nonconstant"):
+            (X * Y).divisor_power(divisor)
+
+
+def test_resultant_signs_and_swapped_degrees():
+    # every pair of degrees up to 3 in both orders, odd*odd included:
+    # Res(g, f) = (-1)^(deg f * deg g) Res(f, g), and both equal the
+    # Sylvester determinant in Fractions and the determinant of sympy's
+    # Sylvester matrix (sympy 1.14's `resultant` has the opposite sign when
+    # deg f < deg g and deg f * deg g is odd)
+    sympy, gens, to_sympy = _sympy_frame()
+    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
+    rng = random.Random(1904)
+    for df in range(1, 4):
+        for dg in range(1, 4):
+            for main in ("x", "z"):
+                f, g = poly_of_degree(rng, main, df), poly_of_degree(rng, main, dg)
+                res = resultant(f, g, main)
+                assert _all_fractions(res)
+                assert res == resultant_sylvester(f, g, main), (str(f), str(g), main)
+                assert resultant(g, f, main) == res * (-1) ** (df * dg)
+                theirs = sylvester(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[V.index(main)]).det()
+                assert to_sympy(res) == sympy.Poly(sympy.expand(theirs), *gens, domain="QQ")
+
+
+def test_transport_rows_and_resultants_make_no_fraction_products(monkeypatch):
+    # substitution, condition rows and resultants run on integer numerators:
+    # not one MultiPoly product between them
+    octic = (X ** 4 + Fraction(2, 3) * Y ** 3 * Z - Z ** 4) * (X * Y - Fraction(1, 5) * Z * Z) ** 2
+    A = [[Fraction(1), Fraction(-1, 2), Fraction(3)], [Fraction(0), Fraction(2), Fraction(-1)],
+         [Fraction(1, 3), Fraction(1), Fraction(1)]]
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    moved = apply_transport(octic, A)
+    rows = condition_rows([MultiplicityAtPoint((1, 2, 3), 4)], 8)
+    res = resultant(moved, octic.derivative("x"), "x")
+    assert products == []
+    assert len(rows) == 10 and moved.total_degree() == 8 and not res.is_zero()
 
 
 def test_form_gcd_golden_output():

@@ -55,6 +55,9 @@ class CurveSingularityProfile:
         }
 
 
+_ONE = MultiPoly.const(PLANE_VARS, 1)
+
+
 def _second_partials(f: MultiPoly) -> list[MultiPoly]:
     out = []
     for i, a in enumerate(PLANE_VARS):
@@ -98,8 +101,7 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
     if f.is_zero():
         raise ValueError("zero curve")
     pieces = squarefree_decomposition(f)
-    u = MultiPoly.const(PLANE_VARS, 1)
-    v = MultiPoly.const(PLANE_VARS, 1)
+    u = v = _ONE
     issues: list[str] = []
     for mult, piece in pieces:
         if mult == 1:
@@ -109,7 +111,11 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
         else:
             issues.append(f"component of multiplicity {mult}")
     n = max(v.total_degree(), 0)
-    profile = CurveSingularityProfile(curve, n, u.primitive(), v.primitive(), issues=issues)
+    # a kept profile shares what it can: the input itself when it is its own
+    # reduced part, one constant when nothing is doubled
+    reduced = u.primitive()
+    profile = CurveSingularityProfile(curve, n, f if reduced == f else reduced,
+                                      v.primitive() if n else _ONE, issues=issues)
     if issues:
         return profile
 

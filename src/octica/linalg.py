@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and over polynomial rings Q[t].
 
 One elimination path per ring:
-  * rref/kernel over Q (Fraction entries),
+  * rref/kernel over Q (Fraction entries): presolve, then `rref`; a kernel
+    drops the columns its single-entry rows kill and eliminates the rest,
   * fraction-free Bareiss echelon for matrices of polynomials, with kernels
     by fraction-free back-substitution,
   * determinantal divisors over a single-parameter ring Q[t] via Smith-style
@@ -63,23 +64,38 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int | None = None) -> list[l
     """Exact right-kernel basis from the reduced echelon form.
 
     Deterministic: one basis vector per free column, in column order, with a 1
-    in the free position.  For an empty row list the full standard basis of
-    length `ncols` is returned.
+    in the free position and zeros at the other free columns.  For an empty
+    row list the full standard basis of length `ncols` is returned.
+
+    Presolve, then `rref`: a row with a single nonzero entry kills its
+    column, a pivot of the full echelon form and 0 in every kernel vector.
+    One pass drops those columns and the rows they leave empty, and `rref`
+    runs on what remains, if anything does.  The kernel, its free columns
+    and so the vectors are the same as from `rref` of all rows.
     """
     if not rows:
         if ncols is None:
             raise ValueError("need ncols for an empty matrix")
         return [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    killed = set()
+    for row in rows:
+        nonzero = [c for c, e in enumerate(row) if e]
+        if len(nonzero) == 1:
+            killed.add(nonzero[0])
+    cols = [c for c in range(ncols) if c not in killed]
+    if killed:
+        rows = [r for r in ([row[c] for c in cols] for row in rows) if any(r)]
+    red, pivots = rref(rows) if rows else ([], [])
     basis = []
-    for fc in free:
+    for fc in range(len(cols)):
+        if fc in pivots:
+            continue
         v = [_ZERO] * ncols
-        v[fc] = _ONE
+        v[cols[fc]] = _ONE
         for r, pc in enumerate(pivots):
             if e := red[r][fc]:
-                v[pc] = -e
+                v[cols[pc]] = -e
         basis.append(v)
     return basis
 

@@ -10,6 +10,7 @@ degeneration diagrams; explicit witness curves live in `witnesses`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,15 +285,16 @@ def simply_elliptic_edges(nodes: list[StratumLabel]) -> list[tuple[StratumLabel,
 
 
 # Built once: the labels are frozen and the edges are tuples, so every
-# simply elliptic graph shares them and a kept graph costs two lists.
+# simply elliptic graph shares these two tuples and a kept graph costs
+# nothing more than its own object.
 _SIMPLY_ELLIPTIC_NODES = tuple(simply_elliptic_nodes())
 _SIMPLY_ELLIPTIC_EDGES = tuple(simply_elliptic_edges(list(_SIMPLY_ELLIPTIC_NODES)))
 
 
 @dataclass(slots=True)
 class DegenerationGraph:
-    nodes: list[StratumLabel]
-    edges: list[tuple[StratumLabel, StratumLabel]]
+    nodes: Sequence[StratumLabel]
+    edges: Sequence[tuple[StratumLabel, StratumLabel]]
 
     def to_dot(self) -> str:
         lines = ["digraph degenerations {"]
@@ -306,7 +308,7 @@ class DegenerationGraph:
 
 def degeneration_graph(scope: str = "simply-elliptic") -> DegenerationGraph:
     if scope == "simply-elliptic":
-        return DegenerationGraph(list(_SIMPLY_ELLIPTIC_NODES), list(_SIMPLY_ELLIPTIC_EDGES))
+        return DegenerationGraph(_SIMPLY_ELLIPTIC_NODES, _SIMPLY_ELLIPTIC_EDGES)
     if scope == "full-rules":
         labels = inhabited_normal_labels()
         edges = []

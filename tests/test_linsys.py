@@ -291,3 +291,24 @@ def test_graded_piece_runs_one_elimination(monkeypatch):
     calls.clear()
     assert condition_ideal_graded_piece([], 8).dim_forms == 45
     assert calls == []
+
+
+def test_single_entry_rows_need_no_elimination(monkeypatch):
+    # a row with one nonzero entry kills its column: a matrix of such rows,
+    # and a graded piece whose conditions are all killed monomials, are
+    # solved without `rref`
+    import octica.linalg as linalg
+
+    def refuse(rows):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[zero, Fraction(3), zero, zero], [zero, zero, zero, Fraction(-1, 2)],
+            [zero, Fraction(5), zero, zero]]
+    assert linalg.kernel_basis(rows) == [[one, zero, zero, zero], [zero, zero, one, zero]]
+    # two [3;3]-points with a common tangent line (`verify`'s check (d))
+    system = condition_ideal_graded_piece([NNPointWithTangent((0, 0, 1), X, 3),
+                                           NNPointWithTangent((0, 1, 0), X, 3)], 8)
+    assert system.dim_forms == 24
+    assert all(divisibility_multiplicity(f, X) >= 2 for f in system.basis)

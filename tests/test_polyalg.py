@@ -387,7 +387,11 @@ def test_pseudo_remainder_matches_sympy():
 
 
 def test_resultant_matches_sympy_with_sign():
+    # against the determinant of sympy's Sylvester matrix, not
+    # `sympy.resultant`, whose sign differs when deg f < deg g and
+    # deg f * deg g is odd
     sympy, gens, to_sympy = _sympy_frame()
+    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
     rng = random.Random(62)
     checked = 0
     while checked < 30:
@@ -397,8 +401,8 @@ def test_resultant_matches_sympy_with_sign():
             continue
         res = resultant(f, g, "z")
         assert _all_fractions(res)
-        theirs = sympy.resultant(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[2])
-        assert to_sympy(res) == sympy.Poly(theirs, *gens, domain="QQ"), (str(f), str(g))
+        theirs = sylvester(to_sympy(f).as_expr(), to_sympy(g).as_expr(), gens[2]).det()
+        assert to_sympy(res) == sympy.Poly(sympy.expand(theirs), *gens, domain="QQ"), (str(f), str(g))
         checked += 1
 
 
@@ -537,12 +541,55 @@ def test_form_gcd_golden_output():
         (1, "x*y*z - 2*x*z^2 + y*z^2"), (2, "x^2 + y*z"), (3, "x - 2*y + z")]
 
 
+def _presolve_cases():
+    """Seeded matrices for the singleton-row presolve: two singletons in one
+    column, a singleton column that denser rows also use, zero rows, rows
+    left empty once the singleton columns are dropped, and all-singleton
+    matrices (some covering every column)."""
+    rng = random.Random(2020)
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+
+    def row_on(ncols, support):
+        return [entry() if c in support else Fraction(0) for c in range(ncols)]
+
+    cases = []
+    for _ in range(30):
+        ncols = rng.randint(2, 9)
+        killed = rng.sample(range(ncols), rng.randint(1, ncols - 1))
+        rest = [c for c in range(ncols) if c not in killed]
+        rows = [row_on(ncols, {c}) for c in killed]
+        rows.append(row_on(ncols, {killed[0]}))                            # second singleton
+        rows.append(row_on(ncols, set(rng.sample(killed, rng.randint(1, len(killed))))))  # left empty
+        rows.append(row_on(ncols, set()))                                   # zero row
+        for _ in range(rng.randint(0, 3)):                                  # denser rows
+            support = set(rng.sample(rest, rng.randint(1, len(rest)))) | {rng.choice(killed)}
+            if len(support) > 1:
+                rows.append(row_on(ncols, support))
+        rng.shuffle(rows)
+        cases.append(rows)
+    for _ in range(6):
+        ncols = rng.randint(1, 7)
+        cases.append([row_on(ncols, {rng.randrange(ncols)}) for _ in range(rng.randint(1, 8))])
+        cases.append([row_on(ncols, {c}) for c in rng.sample(range(ncols), ncols)])
+    return cases
+
+
 def test_kernel_basis_examples():
     one, zero = Fraction(1), Fraction(0)
     identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
     assert kernel_basis(identity) == []
     zeros = [[zero] * 4, [zero] * 4]
     assert len(kernel_basis(zeros)) == 4
+    # the presolved kernel is sympy's nullspace, vector for vector (both put
+    # a 1 at a free column and zeros at the other free columns)
+    sympy = pytest.importorskip("sympy")
+    for rows in _presolve_cases() + [identity, zeros]:
+        theirs = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                               for row in rows]).nullspace()
+        want = [[Fraction(int(c.p), int(c.q)) for c in vec] for vec in theirs]
+        assert kernel_basis(rows) == want, rows
 
 
 def test_kernel_vectors_are_exact():

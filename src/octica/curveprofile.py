@@ -111,11 +111,11 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
         else:
             issues.append(f"component of multiplicity {mult}")
     n = max(v.total_degree(), 0)
-    # a kept profile shares what it can: the input itself when it is its own
-    # reduced part, one constant when nothing is doubled
-    reduced = u.primitive()
-    profile = CurveSingularityProfile(curve, n, f if reduced == f else reduced,
-                                      v.primitive() if n else _ONE, issues=issues)
+    # u and v are products of primitive pieces with positive leading
+    # coefficients, so primitive themselves (Gauss's lemma); a kept profile
+    # shares the input itself when it is its own reduced part, and the one
+    # constant _ONE when nothing is doubled
+    profile = CurveSingularityProfile(curve, n, f if u == f else u, v, issues=issues)
     if issues:
         return profile
 

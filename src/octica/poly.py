@@ -298,6 +298,8 @@ class MultiPoly:
     def rename(self, target_vars: Sequence[str]) -> "MultiPoly":
         """Re-express in a different frame, each variable under its own name."""
         target_vars = tuple(target_vars)
+        if target_vars == self.vars:
+            return self
         idx = []
         for v in self.vars:
             if v not in target_vars:
@@ -495,9 +497,15 @@ def monomial_basis(num_vars: int, degree: int) -> list[tuple[int, ...]]:
 # and make one Fraction per result term (`_over`).
 
 
+# One copy of each exponent tuple that a kernel output keeps, shared by all
+# polynomials, so that kept results do not each hold their own.
+_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
+_shared = _EXPONENTS.setdefault
+
+
 def _over(frame: tuple[str, ...], terms: _Ints, den: int, num: int = 1) -> MultiPoly:
     """The polynomial with the coefficients num*c/den for the integer terms c."""
-    return MultiPoly._of(frame, {e: Fraction(num * c, den) for e, c in terms.items() if c})
+    return MultiPoly._of(frame, {_shared(e, e): Fraction(num * c, den) for e, c in terms.items() if c})
 
 
 def _addmul(acc: _Ints, a: _Ints, b: _Ints) -> _Ints:
@@ -802,6 +810,8 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
         g = h
         for v in sorted(h.support_vars()):
             g = poly_gcd(g, h.derivative(v))
+            if g.is_constant():
+                break
         w = h.exact_div(g.rename(h.vars))  # product of the primes dividing h
         if prev_w is not None:
             piece = prev_w.exact_div(poly_gcd(prev_w, w).rename(h.vars)).primitive()
@@ -817,11 +827,18 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
 
 
 def squarefree_part(f: MultiPoly) -> MultiPoly:
+    """The product of the distinct prime factors of f, primitive with a
+    positive leading coefficient: f over its gcd with all its partial
+    derivatives, which over Q is the product of the primes to one power less."""
+    if f.is_zero():
+        raise ValueError("zero polynomial has no squarefree part")
     g = f.primitive()
-    out = MultiPoly.const(f.vars, 1)
-    for _, piece in squarefree_decomposition(g):
-        out = out * piece
-    return out.primitive()
+    d = g
+    for v in sorted(g.support_vars()):
+        d = poly_gcd(d, g.derivative(v))
+        if d.is_constant():
+            return g
+    return g.exact_div(d).primitive()
 
 
 # -- resultants ----------------------------------------------------------

@@ -14,22 +14,22 @@ the one place that reports the point and the distinguished tangent in the
 coordinates of the curve.
 
 Milnor numbers are computed exactly as the intersection multiplicity of the
-two partial derivatives at the origin, by the order of a resultant in sheared
-coordinates, at the first shear of a fixed sweep under which the resultant
-order provably equals the intersection number.  The classifier computes mu
-once per germ: an infinite mu means a repeated component through the point
-and selects the non-isolated types.  A gcd of the two partials is taken only
-as a fallback, when the resultant vanishes or the first shears all fail.
+two partial derivatives at the origin, by Fulton's algorithm in the local
+ring on integer numerators: no resultant and no change of coordinates.  One
+gcd first decides whether the partials share a component through the origin
+(an infinite mu, which means a repeated component of the germ there and
+selects the non-isolated types) and removes a common factor off it.  The
+classifier computes mu once per germ.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linsys import (HomForm, Point, apply_transport, evaluate_at, line_through, normalize_point,
                      transport_matrix, transport_point)
-from .poly import MultiPoly, binary_roots, poly_gcd, resultant, squarefree_decomposition
+from .poly import MultiPoly, binary_roots, poly_gcd, squarefree_decomposition
 
 LOCAL_VARS = ("x", "y")
 
@@ -86,94 +86,76 @@ def strict_germ_at_direction(f: MultiPoly, direction: tuple[Fraction, Fraction])
 # -- intersection numbers and Milnor numbers ----------------------------------
 
 
-def _order_along_axis(f: MultiPoly, axis_var: str) -> int | None:
-    """Order of vanishing at 0 of f restricted to the coordinate axis."""
-    other = "y" if axis_var == "x" else "x"
-    restr = f.substitute({other: Fraction(0)})
-    if restr.is_zero():
-        return None
-    return min(exp[f.vars.index(axis_var)] for exp in restr.terms)
-
-
 def intersection_multiplicity_origin(p: MultiPoly, q: MultiPoly) -> int | None:
     """I_0(p, q) for bivariate polynomials; None encodes infinity.
 
-    Once the factors x and y are split off, I_0 is the order found by
-    `_resultant_order`, with no gcd, whenever Res_x is nonzero: that rules out
-    a common factor of positive degree in x, and a common factor h(y) misses
-    the origin (else both restrictions to y = 0 vanish), so its power in Res_x
-    adds 0 to ord_y.  A common factor off the origin such as x - 1 fails the
-    checks at every shear, so after four failed shears, or at a zero Res_x,
-    `poly_gcd` removes the common factor and the sweep goes on.
+    A common factor through the origin makes I_0 infinite; one off the
+    origin is a unit there and is divided out.  The coprime rest meets in at
+    most deg p * deg q points counted with multiplicity (Bezout), which
+    bounds I_0 for `_fulton`.
     """
     p = p.rename(LOCAL_VARS)
     q = q.rename(LOCAL_VARS)
     if p.is_zero() or q.is_zero():
         return None
-    if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
+    if p.coeff((0, 0)) or q.coeff((0, 0)):
         return 0
-    total = 0
-    for name, other in (("x", "y"), ("y", "x")):
-        v = MultiPoly.var(LOCAL_VARS, name)
-        k, p = p.divisor_power(v)
-        if k:
-            o = _order_along_axis(q, other)
-            if o is None:
-                return None
-            total += k * o
-        k, q = q.divisor_power(v)
-        if k:
-            o = _order_along_axis(p, other)
-            if o is None:
-                return None
-            total += k * o
-    if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
-        return total
-    shears = (Fraction((k + 1) // 2 * (1 if k % 2 else -1)) for k in itertools.count())
-    order = _resultant_order(p, q, itertools.islice(shears, 4))
-    if order is None:
-        g = poly_gcd(p, q)
-        if g.total_degree() > 0:
-            if g.evaluate({"x": 0, "y": 0}) == 0:
-                return None
-            p = p.exact_div(g)
-            q = q.exact_div(g)
-        order = _resultant_order(p, q, shears)
-    return total + order
-
-
-def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
-    """ord_y Res_x at the first shear y -> y + c*x, c in `shears`, that passes
-    the checks below; None if none passes or Res_x vanishes there.
-
-    Past the checks the origin is the only common zero on the line y = 0,
-    with none at x-infinity over it, so for coprime p and q the order is
-    exactly I_0.  Only finitely many c fail them then, since coprime p and q
-    have finitely many common zeros, linear factors and zeros of their
-    top-degree forms.
-    """
-    x = MultiPoly.var(LOCAL_VARS, "x")
-    y = MultiPoly.var(LOCAL_VARS, "y")
-    for c in shears:
-        pc = p.substitute({"y": y + c * x})
-        qc = q.substitute({"y": y + c * x})
-        # only the origin may be a common zero on the sweep line y = 0
-        pu = pc.substitute({"y": Fraction(0)}).rename(("x",))
-        qu = qc.substitute({"y": Fraction(0)}).rename(("x",))
-        if pu.is_zero() or qu.is_zero():
-            continue
-        if len(poly_gcd(pu, qu).terms) != 1:
-            continue
-        # no common zero at x-infinity over y = 0
-        lp = pc.coeff_of("x", pc.degree_in("x"))
-        lq = qc.coeff_of("x", qc.degree_in("x"))
-        if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
-            continue
-        res = resultant(pc, qc, "x").rename(("y",))
-        if res.is_zero():
+    g = poly_gcd(p, q)
+    if not g.is_constant():
+        if not g.coeff((0, 0)):
             return None
-        return min(exp[0] for exp in res.terms)
-    return None
+        p = p.exact_div(g)
+        q = q.exact_div(g)
+    return _fulton(p._numerators()[0], q._numerators()[0], p.total_degree() * q.total_degree())
+
+
+def _fulton(p: dict, q: dict, bound: int) -> int:
+    """I_0(p, q) for integer polynomials {(i, j): c} in (x, y) that vanish at
+    the origin, with I_0 <= bound; Fulton's algorithm in the local ring
+    (Algebraic Curves, 1969, section 3.3).
+
+    Write p(x, 0) = x^r u and q(x, 0) = x^s w with u(0) w(0) != 0 and r <= s.
+    Then u q - w x^(s-r) p = y q' and, u being a unit at the origin,
+    I_0(p, q) = I_0(p, y q') = r + I_0(p, q'); if q(x, 0) = 0, then q = y q'
+    and the same holds.  When at most n of I_0 is left to find, the colength
+    n of the ideal gives m^n in it, so a term of degree > n lies in m times
+    the ideal and, by Nakayama's lemma, dropping it keeps the ideal.
+    """
+    total = 0
+    while True:
+        left = bound - total
+        p = {e: c for e, c in p.items() if e[0] + e[1] <= left}
+        q = {e: c for e, c in q.items() if e[0] + e[1] <= left}
+        if (0, 0) in p or (0, 0) in q:
+            return total
+        pa = {i: c for (i, j), c in p.items() if not j}
+        qa = {i: c for (i, j), c in q.items() if not j}
+        if not pa or (qa and min(qa) < min(pa)):
+            p, q, pa, qa = q, p, qa, pa
+        if not pa:
+            raise ArithmeticError("intersection number exceeds its bound")
+        r = min(pa)
+        total += r
+        left -= r
+        if not qa:
+            q = {(i, j - 1): c for (i, j), c in q.items()}
+            continue
+        # u q - w x^(s-r) p, each term of degree at most left + 1 (q' is then
+        # cut at left), so its terms free of y cancel exactly
+        comb: dict = {}
+        get = comb.get
+        for f, g, sign in ((q, sorted(pa.items()), 1), (p, sorted(qa.items()), -1)):
+            for (i, j), c in f.items():
+                room = left + 1 + r - i - j
+                c *= sign
+                for k, d in g:
+                    if k > room:
+                        break
+                    e = (i + k - r, j)
+                    comb[e] = get(e, 0) + d * c
+        q = {(i, j - 1): c for (i, j), c in comb.items() if c}
+        content = math.gcd(*q.values())
+        q = {e: c // content for e, c in q.items()}
 
 
 def milnor_number(f: MultiPoly) -> int | None:

@@ -1,9 +1,11 @@
 """Test-only helpers: oracles built on the library's local intersection
 numbers, schoolbook Fraction references for substitution, division and
 pseudo-remainders, the Bareiss determinant and the Sylvester-determinant
-resultant, random projectivities and their inverses, the small linear systems that the
+resultant, local intersection numbers from resultants at shears, random
+projectivities and their inverses, the small linear systems that the
 dimension tables quote, stratum dimensions from one tangent-space rank and
 the partial order on Hodge diamonds."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +15,8 @@ from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, L
                            _degenerate_direction_combos, condition_ideal_graded_piece,
                            evaluate_at, normalize_point)
 from octica.paramfam import ParamMatrix, UniversalFamily
-from octica.poly import (MultiPoly, _check_resultant_args, grevlex_key, monomial_basis,
-                         squarefree_decomposition)
+from octica.poly import (MultiPoly, _check_resultant_args, grevlex_key, monomial_basis, poly_gcd,
+                         resultant, squarefree_decomposition)
 from octica.singclass import intersection_multiplicity_origin, localize
 
 
@@ -171,6 +173,90 @@ def resultant_sylvester(f: MultiPoly, g: MultiPoly, main: str) -> MultiPoly:
     """
     _check_resultant_args(f, g, main)
     return det_bareiss(sylvester_matrix(f, g, main))
+
+
+# -- intersection numbers by resultants -----------------------------------------
+
+
+def _order_along_axis(f: MultiPoly, axis_var: str) -> int | None:
+    """Order of vanishing at 0 of f restricted to the coordinate axis."""
+    other = "y" if axis_var == "x" else "x"
+    restr = f.substitute({other: Fraction(0)})
+    if restr.is_zero():
+        return None
+    return min(exp[f.vars.index(axis_var)] for exp in restr.terms)
+
+
+def intersection_reference(p: MultiPoly, q: MultiPoly) -> int | None:
+    """I_0(p, q) for bivariate polynomials in (x, y), None for infinity, as
+    the y-order of Res_x at the first shear y -> y + c*x that passes exact
+    checks; independent of the library's Fulton algorithm.
+
+    The factors x and y are split off first.  Past the checks the origin is
+    the only common zero on the line y = 0, with none at x-infinity over it,
+    so for coprime p and q the order is exactly I_0.  A zero Res_x or four
+    failed shears call for `poly_gcd`: a common factor through the origin
+    gives None, one off it is divided out and the sweep goes on.
+    """
+    if p.is_zero() or q.is_zero():
+        return None
+    if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
+        return 0
+    total = 0
+    for name, other in (("x", "y"), ("y", "x")):
+        v = MultiPoly.var(p.vars, name)
+        k, p = p.divisor_power(v)
+        if k:
+            o = _order_along_axis(q, other)
+            if o is None:
+                return None
+            total += k * o
+        k, q = q.divisor_power(v)
+        if k:
+            o = _order_along_axis(p, other)
+            if o is None:
+                return None
+            total += k * o
+    if p.evaluate({"x": 0, "y": 0}) != 0 or q.evaluate({"x": 0, "y": 0}) != 0:
+        return total
+    shears = (Fraction((k + 1) // 2 * (1 if k % 2 else -1)) for k in itertools.count())
+    order = _resultant_order(p, q, itertools.islice(shears, 4))
+    if order is None:
+        g = poly_gcd(p, q)
+        if g.total_degree() > 0:
+            if g.evaluate({"x": 0, "y": 0}) == 0:
+                return None
+            p = p.exact_div(g)
+            q = q.exact_div(g)
+        order = _resultant_order(p, q, shears)
+    return total + order
+
+
+def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
+    """ord_y Res_x at the first shear in `shears` that passes the checks;
+    None if none passes or Res_x vanishes there."""
+    x = MultiPoly.var(p.vars, "x")
+    y = MultiPoly.var(p.vars, "y")
+    for c in shears:
+        pc = p.substitute({"y": y + c * x})
+        qc = q.substitute({"y": y + c * x})
+        # only the origin may be a common zero on the sweep line y = 0
+        pu = pc.substitute({"y": Fraction(0)}).rename(("x",))
+        qu = qc.substitute({"y": Fraction(0)}).rename(("x",))
+        if pu.is_zero() or qu.is_zero():
+            continue
+        if len(poly_gcd(pu, qu).terms) != 1:
+            continue
+        # no common zero at x-infinity over y = 0
+        lp = pc.coeff_of("x", pc.degree_in("x"))
+        lq = qc.coeff_of("x", qc.degree_in("x"))
+        if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
+            continue
+        res = resultant(pc, qc, "x").rename(("y",))
+        if res.is_zero():
+            return None
+        return min(exp[0] for exp in res.terms)
+    return None
 
 
 # -- projectivities and the systems quoted in the dimension tables -------------

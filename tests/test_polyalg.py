@@ -229,6 +229,18 @@ def test_form_gcd_and_squarefree_match_sympy():
             assert ours == theirs, str(p)
 
 
+def test_squarefree_part_is_the_product_of_the_pieces():
+    # one radical f / gcd(f, all partials) against the squarefree decomposition
+    for f, g in form_gcd_cases():
+        for p in (f, -3 * f * g):
+            want = MultiPoly.const(p.vars, 1)
+            for _, piece in squarefree_decomposition(p):
+                want = want * piece
+            assert squarefree_part(p) == want.primitive(), str(p)
+    with pytest.raises(ValueError):
+        squarefree_part(MultiPoly.zero(V))
+
+
 def planted_gcd_cases():
     """Pairs with a planted common factor in one, two and three variables:
     non-homogeneous germs with small and with 60-digit numerators, squares

@@ -2,17 +2,20 @@
 import contextlib
 import random
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 
+from octica import poly, singclass, verify
 from octica.linsys import HomForm, PLANE_VARS
+from octica.parsing import parse_poly
 from octica.poly import MultiPoly, binary_roots, squarefree_decomposition
 from octica.singclass import (LOCAL_VARS, classify, intersection_multiplicity_origin,
                               localize, milnor_number, multiplicity, strict_germ_at_direction,
                               tangent_cone)
 
-from local_checks import is_isolated
+from local_checks import intersection_reference, is_isolated
 
 x = MultiPoly.var(LOCAL_VARS, "x")
 y = MultiPoly.var(LOCAL_VARS, "y")
@@ -360,10 +363,10 @@ def intersection_cases():
     return cases + FALLBACK_CASES
 
 
-# Common factors met before any gcd is taken: x - 1 divides both restrictions
-# to y = 0 at every shear, so only the gcd fallback ends the sweep; y - 1 is
-# free of x, so Res_x stays nonzero with the same order at y = 0; y - x^2
-# passes every check at c = 0 and makes Res_x vanish there.
+# Common factors that the shear-resultant reference meets before its gcd:
+# x - 1 divides both restrictions to y = 0 at every shear, so only the gcd
+# ends the sweep; y - 1 is free of x, so Res_x stays nonzero with the same
+# order at y = 0; y - x^2 passes every check at c = 0 and makes Res_x vanish.
 FALLBACK_CASES = [
     ((x - 1) * (y - x ** 2), (x - 1) * (y + x ** 2)),
     ((y - 1) * (y - x ** 3), (y - 1) * (y + x ** 2)),
@@ -380,3 +383,104 @@ def test_intersection_multiplicity_matches_fulton():
         answers.append(want)
     assert None in answers and any(a is not None and a > 2 for a in answers)
     assert answers[-len(FALLBACK_CASES):] == [2, 2, None]
+
+
+# -- intersection numbers against the shear-resultant reference -----------------
+
+
+def _random_pair(rng):
+    """Two polynomials through the origin, of one of seven kinds."""
+    kind = rng.randrange(7)
+    a, b = _random_through_origin(rng, 1, 3), _random_through_origin(rng, 1, 3)
+    if kind == 1:                            # a shared tangent line
+        tangent = rng.randint(-3, 3) * x + y
+        return tangent + _random_through_origin(rng, 2, 3), rng.randint(1, 3) * tangent + b
+    if kind == 2:                            # y or x divides one of them
+        return y ** rng.randint(1, 2) * _random_through_origin(rng, 0, 2), x ** rng.randint(0, 1) * b
+    if kind == 3:                            # a common factor through the origin
+        h = _random_through_origin(rng, 1, 2)
+        return h * _random_through_origin(rng, 0, 2), h * _random_through_origin(rng, 0, 2)
+    if kind == 4:                            # a common factor off the origin
+        h = _random_through_origin(rng, 1, 2) + rng.choice((-2, -1, 1, 2))
+        return h * a, h * b
+    if kind == 5:                            # curves tangent to high order
+        k = rng.randint(2, 5)
+        return (y - rng.randint(1, 3) * x ** k + _random_through_origin(rng, k + 1, k + 2),
+                y - rng.randint(1, 3) * x ** rng.randint(2, 5) + x * y * a)
+    if kind == 6:                            # the partials of a germ
+        f = _random_through_origin(rng, 2, 5)
+        return f.derivative("x"), f.derivative("y")
+    return a, b
+
+
+def test_intersection_multiplicity_matches_resultant_reference():
+    rng = random.Random(2201)
+    cases = [_random_pair(rng) for _ in range(1100)] + intersection_cases()
+    cases += [(y * (y + x ** 3), y + x ** 2), (y * (y + x ** 3), y * (y - x ** 3)),
+              (y * (y + x ** 3), (y + x ** 3) * (x - 1))]
+    for _, germ, _ in golden_isolated_cases() + golden_nonisolated_cases():
+        cases.append((germ.derivative("x"), germ.derivative("y")))
+    answers = []
+    for p, q in cases:
+        want = intersection_reference(p, q)
+        assert intersection_multiplicity_origin(p, q) == want, (str(p), str(q))
+        answers.append(want)
+    assert answers.count(None) > 100 and sum(1 for a in answers if a is not None and a > 4) > 100
+
+
+def test_intersection_multiplicity_matches_reference_at_witnesses(monkeypatch):
+    # every pair that the witness builds and both verify suites ask for
+    from octica.witnesses import WITNESS_BUILDERS, build_witness
+
+    pairs = []
+    real = singclass.intersection_multiplicity_origin
+
+    def recorded(p, q):
+        pairs.append((p, q, real(p, q)))
+        return pairs[-1][2]
+
+    monkeypatch.setattr(singclass, "intersection_multiplicity_origin", recorded)
+    for key in sorted(WITNESS_BUILDERS):
+        build_witness(key)
+    verify.check_degree_bounds()
+    verify.check_milnor_lemma()
+    assert len(pairs) >= 140 and any(got is None for _, _, got in pairs)
+    for p, q, got in pairs:
+        assert intersection_reference(p, q) == got, (str(p), str(q))
+
+
+def test_milnor_number_takes_no_resultant(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a resultant was computed")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("octica")]:
+        if getattr(mod, "resultant", None) is poly.resultant:
+            monkeypatch.setattr(mod, "resultant", forbidden)
+    monkeypatch.setattr(poly, "_resultant_int", forbidden)
+    for _, germ, mu in golden_isolated_cases():
+        assert milnor_number(germ) == mu
+    for _, germ, _ in golden_nonisolated_cases():
+        assert milnor_number(germ) is None
+
+
+# A Y2,inf point of a candidate octic that the N_112b recipe rejects at its
+# first seed: the global form of Fulton's algorithm, with neither the gcd
+# first nor the truncation, ran for 42 s on its partials
+N_112B_NONISOLATED_GERM = ("2*x^6*y - 4*x^5*y^2 + 2*x^4*y^3 + 2*x^5*y - 9*x^4*y^2 + 12*x^3*y^3"
+                           " - 5*x^2*y^4 - x^4*y + 6*x^2*y^3 - 8*x*y^4 + 3*y^5 + x^2*y^2"
+                           " - 2*x*y^3 + y^4")
+
+
+def test_nonisolated_germ_stops_at_the_gcd(monkeypatch):
+    germ = parse_poly(N_112B_NONISOLATED_GERM, variables=LOCAL_VARS)
+    assert classify(germ).type_string() == "Y2,inf"
+
+    def loop(*args):
+        raise AssertionError("Fulton's loop ran on a germ with a common component")
+
+    # the common factor through the origin answers before the loop that the
+    # Bezout bound ends
+    monkeypatch.setattr(singclass, "_fulton", loop)
+    with time_limit(2.0):
+        assert milnor_number(germ) is None
+        assert intersection_multiplicity_origin(germ.derivative("x"), germ.derivative("y")) is None

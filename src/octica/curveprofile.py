@@ -59,10 +59,9 @@ _ONE = MultiPoly.const(PLANE_VARS, 1)
 
 
 def _second_partials(f: MultiPoly) -> list[MultiPoly]:
-    out = []
-    for i, a in enumerate(PLANE_VARS):
-        for b in PLANE_VARS[i:]:
-            out.append(f.derivative(a).derivative(b))
+    """The nonzero f_ab for a <= b in PLANE_VARS order, from the three first partials."""
+    firsts = [f.derivative(a) for a in PLANE_VARS]
+    out = [firsts[i].derivative(b) for i in range(3) for b in PLANE_VARS[i:]]
     return [p for p in out if not p.is_zero()]
 
 

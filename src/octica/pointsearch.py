@@ -6,17 +6,20 @@ of the six second-order partials).  The search works in a fixed list of
 coordinate frames.  In each frame x is eliminated through two pairwise
 resultants; the rational roots of their gcd are the candidate directions
 (y : z) seen from the frame's vertex A*(1:0:0), and each direction is solved
-exactly.  Every common zero off the vertex lies on a root direction, so the
-frame certifies the whole system when (a) every direction is rational and
-(b) on every direction the restricted system had only rational solutions.
-The search stops at the first frame that certifies.
+exactly: every form is restricted to its line by scaling its terms, and the
+rational roots of the gcd of the restrictions are common zeros with no
+further evaluation.  Whether the vertex is one is read off the moved forms'
+x^d coefficients.  Every common zero off the vertex lies on a root
+direction, so the frame certifies the whole system when (a) every direction
+is rational and (b) on every direction the restricted system had only
+rational solutions.  The search stops at the first frame that certifies.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linsys import PLANE_VARS, Point, apply_transport, evaluate_at, transport_point
-from .poly import MultiPoly, binary_roots, poly_gcd, resultant, squarefree_part
+from .linsys import Point, apply_transport, transport_point
+from .poly import MultiPoly, _over, binary_roots, poly_gcd, resultant, squarefree_part
 
 # Fixed coordinate changes tried, in order, when the curve's own coordinates
 # cannot certify a point set or a contact bound.
@@ -78,12 +81,14 @@ def common_rational_zeros(polys: list[MultiPoly]) -> tuple[list[Point], bool]:
     found: list[Point] = []
 
     def record(p) -> None:
-        if p not in found and all(evaluate_at(f, p) == 0 for f in polys):
+        if p not in found:
             found.append(p)
 
     for k, A in enumerate(FRAMES):
-        record(transport_point(A, (1, 0, 0)))
         moved = [apply_transport(p, A) for p in polys] if k else polys
+        # f(A u) at u = (1:0:0) is the sum of its coefficients free of y and z
+        if not any(sum(c for e, c in p.terms.items() if not e[1] and not e[2]) for p in moved):
+            record(transport_point(A, (1, 0, 0)))
         g = _direction_gcd(moved)
         if g is None:
             continue
@@ -101,13 +106,27 @@ def common_rational_zeros(polys: list[MultiPoly]) -> tuple[list[Point], bool]:
 
 def _points_on_direction(polys, dy, dz) -> tuple[list[Point], bool]:
     """Rational common zeros with (y : z) = (dy : dz), not normalised, plus a
-    flag telling whether every common zero on that line was rational."""
+    flag telling whether every common zero on that line was rational.
+
+    Each form is restricted to the line as a binary form in (x, t), with
+    (y, z) = (dy, dz) * t, and the roots of the gcd of the restrictions are
+    common zeros by construction."""
     tname = "y" if dz != 0 else "z"
-    t = MultiPoly.var(PLANE_VARS, tname)
-    sub = {"y": MultiPoly.const(PLANE_VARS, dy) * t, "z": MultiPoly.const(PLANE_VARS, dz) * t}
+    frame = ("x", tname)
+    # dy = ay/d and dz = az/d; a term n*x^a*y^b*z^c of a form whose terms
+    # have at most `top` = b + c becomes n*ay^b*az^c*d^(top-b-c) * x^a*t^(b+c)
+    # over the form's denominator times d^top
+    d = dy.denominator * dz.denominator
+    ay, az = int(dy * d), int(dz * d)
     g = None
     for q in polys:
-        r = q.substitute(sub)
+        terms, den = q._numerators()
+        top = max(b + c for _, b, c in terms)
+        acc: dict[tuple[int, int], int] = {}
+        for (a, b, c), n in terms.items():
+            e = (a, b + c)
+            acc[e] = acc.get(e, 0) + n * ay ** b * az ** c * d ** (top - b - c)
+        r = _over(frame, acc, den * d ** top)
         if r.is_zero():
             continue
         g = r if g is None else poly_gcd(g, r)
@@ -117,5 +136,5 @@ def _points_on_direction(polys, dy, dz) -> tuple[list[Point], bool]:
         # the whole line satisfies the system; cannot happen for the finite
         # singular schemes this is used on, so refuse to certify
         return [], False
-    roots, leftover = binary_roots(squarefree_part(g.rename(("x", tname))))
+    roots, leftover = binary_roots(squarefree_part(g))
     return [(tx, dy * tt, dz * tt) for (tx, tt) in roots], leftover.is_constant()

@@ -11,7 +11,8 @@ as ints over the lcm of its denominators, the work is done in Python ints,
 and each nonzero result term becomes one reduced Fraction.  A product sums
 the products of numerators for each exponent.  A substitution keeps one
 table of integer powers per variable image and scales every term to a
-common denominator.  Exact division (`exact_div`, `divides`,
+common denominator; an evaluation does the same with the powers of each
+value and makes one Fraction in all.  Exact division (`exact_div`, `divides`,
 `divisor_power`) divides integer primitive parts, whose quotient is integral
 by Gauss's lemma, and the contents apart.  A pseudo-remainder and the
 subresultant sequence of a resultant run on the numerators and scale back at
@@ -25,8 +26,9 @@ in Fractions.
 A gcd is first tried by the heuristic gcd (Char, Geddes, Gonnet 1989) on
 integer primitive parts: variables are evaluated at large integers down to
 an integer gcd, the candidate is read back off its xi-adic digits and
-accepted only after exact trial division into both inputs.  The primitive
-remainder sequence remains the fallback; both give the same normalised gcd.
+accepted only after exact trial division into both inputs (a unit candidate
+divides them trivially and is accepted at once).  The primitive remainder
+sequence remains the fallback; both give the same normalised gcd.
 """
 from __future__ import annotations
 
@@ -233,34 +235,35 @@ class MultiPoly:
     # -- calculus and evaluation --------------------------------------
 
     def derivative(self, name: str) -> "MultiPoly":
+        """The partial derivative; lowering one exponent maps the terms that
+        survive one to one, so no two of them collide."""
         i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e:
-                new = list(exp)
-                new[i] = e - 1
-                key = tuple(new)
-                s = terms.get(key, Fraction(0)) + c * e
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return MultiPoly._of(self.vars, terms)
+        terms, den = self._numerators()
+        return _over(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * n
+                                 for e, n in terms.items() if e[i]}, den)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        missing = self.support_vars() - set(values)
-        if missing:
-            raise VariableMismatch(f"no values for {sorted(missing)}")
-        total = Fraction(0)
-        vals = [Fraction(values.get(v, 0)) for v in self.vars]
-        for exp, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, exp):
-                if e:
-                    t *= val ** e
-            total += t
-        return total
+        """The value at a point, summed in ints: with each value written as
+        a/b and E the top exponent of its variable, a term contributes
+        a^e * b^(E - e) over the common denominator b^E."""
+        terms, den = self._numerators()
+        tables = []
+        for k, v in enumerate(self.vars):
+            top = max((e[k] for e in terms), default=0)
+            if not top:
+                continue
+            if v not in values:
+                raise VariableMismatch(f"no values for {sorted(self.support_vars() - set(values))}")
+            val = Fraction(values[v])
+            a, b = val.numerator, val.denominator
+            tables.append((k, [a ** j * b ** (top - j) for j in range(top + 1)]))
+            den *= b ** top
+        total = 0
+        for exp, n in terms.items():
+            for k, table in tables:
+                n *= table[exp[k]]
+            total += n
+        return Fraction(total, den)
 
     def substitute(self, mapping: Mapping[str, "MultiPoly | Fraction | int"],
                    target_vars: Sequence[str] | None = None) -> "MultiPoly":
@@ -644,7 +647,8 @@ def _heu_gcd(f: _Ints, g: _Ints) -> _Ints | None:
             h = _interpolate_int(h, i, xi)
             ch = math.gcd(*h.values())
             h = {e: c // ch for e, c in h.items()}
-            if _div_int(h, f) is not None and _div_int(h, g) is not None:
+            # a unit divides both inputs, so it passes the test untried
+            if h.keys() == {zero} or _div_int(h, f) is not None and _div_int(h, g) is not None:
                 return {e: c * content for e, c in h.items()}
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -925,7 +929,10 @@ def binary_roots(f: MultiPoly) -> tuple[list[tuple[Fraction, Fraction]], MultiPo
         if kv > 0:
             roots.append((Fraction(1), Fraction(0)))
             cofactor = MultiPoly._of(frame, {(a, b - kv): c for (a, b), c in f.terms.items()})
-        f = f.substitute({frame[1]: Fraction(1)}).rename((u,))
+        at_one: dict[tuple[int, ...], Fraction] = {}
+        for (a, _), c in f.terms.items():
+            at_one[(a,)] = at_one.get((a,), 0) + c
+        f = MultiPoly((u,), at_one)
     if f.total_degree() <= 0:
         return roots, cofactor
     if f.total_degree() >= 2:

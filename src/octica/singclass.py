@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linsys import (HomForm, Point, apply_transport, evaluate_at, line_through, normalize_point,
+from .linsys import (PLANE_VARS, HomForm, Point, evaluate_at, line_through, normalize_point,
                      transport_matrix, transport_point)
 from .poly import MultiPoly, binary_roots, poly_gcd, squarefree_decomposition
 
@@ -38,8 +38,10 @@ LOCAL_VARS = ("x", "y")
 
 
 def _chart(f: MultiPoly, A: list[list[Fraction]]) -> MultiPoly:
-    """f(A u) in the affine chart z = 1, as a polynomial in LOCAL_VARS."""
-    return apply_transport(f, A).substitute({"z": Fraction(1)}).rename(LOCAL_VARS)
+    """f(A u) in the affine chart z = 1, as a polynomial in LOCAL_VARS: one
+    substitution of the affine images row * (x, y, 1)."""
+    return f.substitute({v: MultiPoly(LOCAL_VARS, {(1, 0): row[0], (0, 1): row[1], (0, 0): row[2]})
+                         for v, row in zip(PLANE_VARS, A)}, LOCAL_VARS)
 
 
 def _point_on(curve: HomForm, point) -> Point:
@@ -167,7 +169,7 @@ def milnor_number(f: MultiPoly) -> int | None:
     f = f.rename(LOCAL_VARS)
     if f.is_zero():
         return None
-    if f.evaluate({"x": 0, "y": 0}) != 0:
+    if f.coeff((0, 0)):
         raise ValueError("germ does not pass through the origin")
     if multiplicity(f) == 1:
         return 0
@@ -260,7 +262,7 @@ def classify(f: MultiPoly) -> SingularityReport:
     f = f.rename(LOCAL_VARS)
     if f.is_zero():
         raise ValueError("zero germ")
-    if f.evaluate({"x": 0, "y": 0}) != 0:
+    if f.coeff((0, 0)):
         raise ValueError("germ does not pass through the origin")
     mu = milnor_number(f)
     if mu is None:
@@ -356,12 +358,11 @@ def _classify_quadruple(f, mu, pieces) -> SingularityReport:
 
 
 def _classify_nonisolated(f: MultiPoly) -> SingularityReport:
-    origin = {"x": Fraction(0), "y": Fraction(0)}
     pieces = squarefree_decomposition(f)
     v = MultiPoly.const(LOCAL_VARS, 1)
     u = MultiPoly.const(LOCAL_VARS, 1)
     for mult, piece in pieces:
-        through = piece.evaluate(origin) == 0
+        through = not piece.coeff((0, 0))
         if mult >= 3 and through:
             return _not_hlc("component of multiplicity >= 3 through the point", multiplicity(f))
         if mult == 2 and through:

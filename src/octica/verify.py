@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from .curveprofile import curve_profile
 from .linsys import (HomForm, MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
-                     common_divisibility, condition_ideal_graded_piece, divisibility_multiplicity,
-                     normalize_point)
+                     condition_ideal_graded_piece, normalize_point)
 from .paramfam import FourPointsCertificate, verify_no_four_33_points
 from .poly import MultiPoly
 
@@ -94,7 +93,7 @@ def check_degree_bounds(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
         if ls.dim_forms == 0:
             return LemmaCheckResult("degree-bounds", checked, False,
                                     f"[{n};{n}]-point linear system empty at degree {2*n-1}")
-        if common_divisibility(ls.basis, Y) < 1:
+        if not all(Y.divides(b.poly) for b in ls.basis):
             return LemmaCheckResult("degree-bounds", checked, False,
                                     f"degree {2*n-1} member without the tangent line, n={n}")
         details.append(f"degree {2*n-1} with an [{n};{n}]-point contains its tangent line")
@@ -105,7 +104,8 @@ def check_degree_bounds(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
     ls = condition_ideal_graded_piece(
         [NNPointWithTangent((0, 0, 1), Y, 3), MultiplicityAtPoint((1, 0, 0), 4)], 7)
     checked += 1
-    if ls.dim_forms == 0 or common_divisibility(ls.basis, Y) < 2:
+    yy = Y * Y
+    if ls.dim_forms == 0 or not all(yy.divides(b.poly) for b in ls.basis):
         return LemmaCheckResult("degree-bounds", checked, False,
                                 "septic with [3;3] + quadruple on the tangent line is reduced")
     details.append("septic with [3;3]-point and quadruple point on its tangent: all members non-reduced")
@@ -116,7 +116,8 @@ def check_degree_bounds(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
     ls = condition_ideal_graded_piece(
         [NNPointWithTangent((0, 0, 1), X, 3), NNPointWithTangent((0, 1, 0), X, 3)], 8)
     checked += 1
-    if ls.dim_forms and common_divisibility(ls.basis, X) < 2:
+    xx = X * X
+    if ls.dim_forms and not all(xx.divides(b.poly) for b in ls.basis):
         return LemmaCheckResult("degree-bounds", checked, False,
                                 "octic with two [3;3]-points sharing a tangent line is reduced")
     details.append("two [3;3]-points with a common tangent line force a doubled line")
@@ -126,7 +127,7 @@ def check_degree_bounds(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
         [NNPointWithTangent((0, 0, 1), X, 3), NNPointWithTangent((0, 1, 0), X, 3),
          NNPointWithTangent((0, 1, 1), X, 3)], 8)
     checked += 1
-    if ls.dim_forms and common_divisibility(ls.basis, X) < 2:
+    if ls.dim_forms and not all(xx.divides(b.poly) for b in ls.basis):
         return LemmaCheckResult("degree-bounds", checked, False,
                                 "octic with three collinear [3;3]-points is reduced")
     details.append("three collinear [3;3]-points force a doubled line")
@@ -210,12 +211,8 @@ def certify_empty_configuration(conditions_builder, n_params: int, label: str,
         if system.dim_forms == 0:
             reasons.append(f"params {params}: empty linear system")
             continue
-        ok = False
-        for b in system.basis:
-            if all(divisibility_multiplicity(b, l) < 2 for l in forbidden):
-                ok = True
-                break
-        if not ok:
+        squares = [l * l for l in forbidden]
+        if all(any(s.divides(b.poly) for s in squares) for b in system.basis):
             reasons.append(f"params {params}: every member is non-reduced")
             continue
         # a reduced member may exist: validate its actual profile

@@ -1,6 +1,6 @@
 """Test-only helpers: oracles built on the library's local intersection
-numbers, schoolbook Fraction references for substitution, division and
-pseudo-remainders, the Bareiss determinant and the Sylvester-determinant
+numbers, schoolbook Fraction references for evaluation, derivatives,
+substitution, division and pseudo-remainders, the Bareiss determinant and the Sylvester-determinant
 resultant, local intersection numbers from resultants at shears, random
 projectivities and their inverses, the small linear systems that the
 dimension tables quote, stratum dimensions from one tangent-space rank and
@@ -76,6 +76,29 @@ def substitute_reference(f: MultiPoly, images: dict, frame) -> MultiPoly:
                 term = _terms_mul(term, images[v].terms)
         out = _terms_add(out, term)
     return MultiPoly(frame, out)
+
+
+def evaluate_reference(f: MultiPoly, values: dict) -> Fraction:
+    """f at a point, one Fraction power at a time; a used variable without a
+    value raises KeyError."""
+    total = Fraction(0)
+    for exp, c in f.terms.items():
+        for v, e in zip(f.vars, exp):
+            if e:
+                c *= Fraction(values[v]) ** e
+        total += c
+    return total
+
+
+def derivative_reference(f: MultiPoly, name: str) -> MultiPoly:
+    """The partial derivative, one Fraction term at a time."""
+    i = f.vars.index(name)
+    out = {}
+    for exp, c in f.terms.items():
+        if exp[i]:
+            e = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+            out[e] = out.get(e, 0) + c * exp[i]
+    return MultiPoly(f.vars, out)
 
 
 def divide_reference(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

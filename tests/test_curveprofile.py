@@ -1,11 +1,14 @@
 """Whole-curve profiles: location, classification, conductor checks."""
+from fractions import Fraction
+
 import pytest
 
-from octica import pointsearch
+from octica import pointsearch, singclass
 from octica.curveprofile import _second_partials, curve_profile
 from octica.linsys import HomForm, PLANE_VARS, apply_transport, evaluate_at, transport_point
 from octica.pointsearch import FRAMES, _direction_gcd, _points_on_direction, common_rational_zeros
-from octica.poly import MultiPoly, binary_roots, squarefree_part
+from octica.poly import MultiPoly, binary_roots, poly_gcd, squarefree_part
+from octica.singclass import classify_point
 from octica.witnesses import build_witness
 
 X = MultiPoly.var(PLANE_VARS, "x")
@@ -199,3 +202,91 @@ def test_rational_directions_without_common_zeros_certify(monkeypatch):
     found, certified = common_rational_zeros(system)
     assert certified and len(found) == 2
     assert len(frames) == 1
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    function = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _points_on_direction_by_substitution(polys, dy, dz):
+    """The line solved through `substitute`: y and z sent to dy*t and dz*t."""
+    tname = "y" if dz != 0 else "z"
+    t = MultiPoly.var(PLANE_VARS, tname)
+    sub = {"y": MultiPoly.const(PLANE_VARS, dy) * t, "z": MultiPoly.const(PLANE_VARS, dz) * t}
+    g = None
+    for q in polys:
+        r = q.substitute(sub)
+        if not r.is_zero():
+            g = r if g is None else poly_gcd(g, r)
+    if g is None:
+        return [], False
+    roots, leftover = binary_roots(squarefree_part(g.rename(("x", tname))))
+    return [(tx, dy * tt, dz * tt) for (tx, tt) in roots], leftover.is_constant()
+
+
+DIRECTIONS = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(2), Fraction(1)),
+              (Fraction(-3, 4), Fraction(1)), (Fraction(5, 3), Fraction(1))]
+
+
+@pytest.mark.parametrize("name", ["readme-octic", "three-conics", "M_2_2"])
+def test_points_on_a_direction_scale_terms_without_substitution(monkeypatch, name):
+    # each form is restricted to the line by scaling its terms, with the
+    # same points and flags as the substitution y, z -> (dy, dz) * t; the
+    # directions are the search's own in the curve's and a moved frame, and
+    # fixed ones with denominators
+    system = _second_partials(SEARCH_CURVES[name]())
+    cases = []
+    for A in (FRAMES[0], FRAMES[4]):
+        moved = [apply_transport(p, A) for p in system]
+        g = _direction_gcd(moved)
+        dirs = binary_roots(squarefree_part(g.rename(("y", "z"))))[0] if g is not None else []
+        cases += [(moved, d) for d in dirs + DIRECTIONS]
+    want = [_points_on_direction_by_substitution(moved, *d) for moved, d in cases]
+    substitutions = _counting(monkeypatch, MultiPoly, "substitute")
+    assert [_points_on_direction(moved, *d) for moved, d in cases] == want
+    assert substitutions == []
+    assert any(pts for pts, _ in want)
+
+
+@pytest.mark.parametrize("name", ["readme-octic", "three-conics", "N_12_pp", "M_2_2"])
+def test_point_search_evaluates_no_form(monkeypatch, name):
+    # a vertex is read off the moved forms' coefficients, and a root of the
+    # gcd of the restricted forms is a common zero by construction
+    system = _second_partials(SEARCH_CURVES[name]())
+    want = frame_by_frame_zeros(system)
+    evaluations = _counting(monkeypatch, MultiPoly, "evaluate")
+    assert common_rational_zeros(system) == want
+    assert evaluations == []
+
+
+def test_second_partials_from_the_first_partials(monkeypatch):
+    f = N_1122_OCTIC + X ** 7 * Z - 3 * Y ** 8
+    want = [f.derivative(a).derivative(b) for i, a in enumerate(PLANE_VARS) for b in PLANE_VARS[i:]]
+    derivatives = _counting(monkeypatch, MultiPoly, "derivative")
+    assert _second_partials(f) == want
+    assert len(derivatives) == 9
+    # a zero second partial is dropped
+    assert len(_second_partials(X ** 3 + Y ** 3 + Z ** 3)) == 3
+
+
+def test_classify_point_substitutes_once_per_point(monkeypatch):
+    # the chart is one substitution; only the strict transform at a J10
+    # point's tangent direction adds one more
+    curve = HomForm(N_1122_OCTIC, 8)
+    substitutions = _counting(monkeypatch, MultiPoly, "substitute")
+    strict = _counting(monkeypatch, singclass, "strict_germ_at_direction")
+    seen = {}
+    for point in ((1, 0, 0), (1, 2, 3), (0, 0, 1), (0, 1, 0)):
+        substitutions.clear()
+        strict.clear()
+        rep = classify_point(curve, point)
+        seen[rep.type_string()] = seen.get(rep.type_string(), []) + [(len(substitutions), len(strict))]
+    assert seen == {"X9": [(1, 0), (1, 0)], "J10": [(2, 1), (2, 1)]}

@@ -13,8 +13,8 @@ from octica.poly import (MultiPoly, VariableMismatch, monomial_basis,
                          poly_gcd, pseudo_remainder, resultant, squarefree_decomposition,
                          squarefree_part)
 
-from local_checks import (det_bareiss, divide_reference, prem_reference, resultant_sylvester,
-                          substitute_reference)
+from local_checks import (derivative_reference, det_bareiss, divide_reference, evaluate_reference,
+                          prem_reference, resultant_sylvester, substitute_reference)
 
 V = ("x", "y", "z")
 X = MultiPoly.var(V, "x")
@@ -95,6 +95,35 @@ def test_derivative_examples():
     frame = ("x", "y", "t")
     x, y, t = (MultiPoly.var(frame, v) for v in frame)
     assert (y - t * x).substitute({"t": Fraction(0)}) == y
+
+
+def test_evaluate_and_derivative_match_the_fraction_reference():
+    # values with denominators, zero values, values for names outside the
+    # frame, and frames with a variable the polynomial does not use
+    big = V + ("t",)
+    rng = random.Random(2301)
+    for k in range(200):
+        frame = big if k % 2 else V
+        f = _negative_lead(random_poly(rng, frame, max_deg=5, terms=6))
+        values = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for v in frame}
+        if k % 3 == 0:
+            values[rng.choice(frame)] = Fraction(0)
+        if k % 5 == 0:
+            values["w"] = Fraction(7, 3)
+        if k % 7 == 0:
+            values = {v: c.numerator for v, c in values.items()}
+        got = f.evaluate(values)
+        assert isinstance(got, Fraction) and got == evaluate_reference(f, values), (str(f), values)
+        for v in frame:
+            d = f.derivative(v)
+            assert _all_fractions(d) and d == derivative_reference(f, v), (str(f), v)
+    zero = MultiPoly.zero(V)
+    assert zero.evaluate({}) == 0 and zero.derivative("x") == zero
+    assert (X * X - 3 * Y * Z).evaluate({"x": 2, "y": Fraction(1, 3), "z": 4}) == 0
+    # only a variable that the polynomial uses needs a value
+    assert (X + Y).evaluate({"x": 1, "y": Fraction(1, 2)}) == Fraction(3, 2)
+    with pytest.raises(VariableMismatch, match=r"no values for \['y', 'z'\]"):
+        (X + Y * Z).evaluate({"x": 1})
 
 
 def test_variable_mismatch_raises():
@@ -306,6 +335,21 @@ def test_heuristic_evaluation_points_meet_the_bound(monkeypatch):
     assert points and len(points) % 2 == 0
     for (nf, xf), (ng, xg) in zip(points[::2], points[1::2]):
         assert xf == xg and xf >= 2 * min(nf, ng) + 2
+
+
+def test_unit_gcd_candidate_needs_no_trial_division(monkeypatch):
+    # a constant candidate divides both inputs, so coprime inputs are never
+    # divided; a nonconstant gcd still is
+    divisions = []
+    div = poly._div_int
+    monkeypatch.setattr(poly, "_div_int", lambda d, f: divisions.append(d) or div(d, f))
+    f = (X ** 3 - 2 * Y * Z * Z + Fraction(1, 2) * X * Y * Z) * (X + 3 * Z)
+    g = (Y ** 2 * X - 5 * Z ** 3) * (X - Y)
+    assert poly_gcd(f, g) == MultiPoly.const(V, 1)
+    assert poly_gcd(3 * X + 6 * Y, 2 * Y * Z - Z ** 2) == MultiPoly.const(V, 1)
+    assert divisions == []
+    assert poly_gcd(f * (X - Y), g) == X - Y
+    assert divisions
 
 
 def test_trial_division_certificate_matches_division():

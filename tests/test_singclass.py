@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from octica import poly, singclass, verify
-from octica.linsys import HomForm, PLANE_VARS
+from octica.linsys import (HomForm, PLANE_VARS, apply_transport, line_through, normalize_point,
+                           transport_matrix)
 from octica.parsing import parse_poly
-from octica.poly import MultiPoly, binary_roots, squarefree_decomposition
+from octica.poly import MultiPoly, binary_roots, monomial_basis, squarefree_decomposition
 from octica.singclass import (LOCAL_VARS, classify, intersection_multiplicity_origin,
                               localize, milnor_number, multiplicity, strict_germ_at_direction,
                               tangent_cone)
 
-from local_checks import intersection_reference, is_isolated
+from local_checks import intersection_reference, is_isolated, random_projectivity
 
 x = MultiPoly.var(LOCAL_VARS, "x")
 y = MultiPoly.var(LOCAL_VARS, "y")
@@ -149,6 +150,49 @@ def test_localize():
     assert multiplicity(g) == 1
     with pytest.raises(ValueError):
         localize(HomForm(X ** 2 + Z ** 2, 2), (0, 0, 1))   # point off the curve
+
+
+def _three_step_chart(f, A):
+    return apply_transport(f, A).substitute({"z": Fraction(1)}).rename(LOCAL_VARS)
+
+
+def test_chart_matches_transport_then_dehomogenise():
+    # the one-pass chart against the composition it replaces: transport the
+    # form, set z = 1, rename into the local frame; at seeded forms and
+    # points, through transport matrices with and without a tangent and
+    # through general projectivities
+    rng = random.Random(2303)
+    for k in range(90):
+        degree = rng.randint(1, 8)
+        basis = monomial_basis(3, degree)
+        f = MultiPoly(PLANE_VARS, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                   for e in rng.sample(basis, min(len(basis), rng.randint(1, 12)))})
+        if f.is_zero():
+            continue
+        while True:
+            p = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else Fraction(0)
+                      for _ in range(3))
+            if any(p):
+                break
+        if k % 3 == 0:
+            A = transport_matrix(p)
+        elif k % 3 == 1:
+            q = next(q for q in ((1, 2, 5), (3, -1, 2)) if normalize_point(q) != normalize_point(p))
+            A = transport_matrix(p, line_through(p, q))
+        else:
+            A = random_projectivity(rng)
+        got = singclass._chart(f, A)
+        assert got.vars == LOCAL_VARS and got == _three_step_chart(f, A), (str(f), p, A)
+    # and the germs of witness octics at their profiled points
+    from octica.witnesses import build_witness
+    charts = 0
+    for key in ("N_12_pp", "N_1b1b", "M_1_2b"):
+        w = build_witness(key)
+        for rep in w.profile.reports:
+            A = transport_matrix(rep.point)
+            assert singclass._chart(w.curve.poly, A) == _three_step_chart(w.curve.poly, A)
+            charts += 1
+    assert charts >= 5
 
 
 def test_blow_up_of_tacnode_has_one_node():

@@ -70,6 +70,16 @@ def test_catalogue_suites_golden_output():
     assert check_milnor_lemma().to_json() == MILNOR_JSON
 
 
+def test_degree_bounds_divide_by_the_bounded_power(monkeypatch):
+    # (b), (c), (d) and (d') only ask whether l or l^2 divides every basis
+    # form, so the full power of the line is never sought
+    def forbidden(*args):
+        raise AssertionError("divisor_power was called")
+
+    monkeypatch.setattr(MultiPoly, "divisor_power", forbidden)
+    assert check_degree_bounds().to_json() == DEGREE_BOUNDS_JSON
+
+
 def test_degree_bounds_suite():
     result = check_degree_bounds()
     assert result.all_passed, result.counterexample

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import intern
 
 from .curveprofile import curve_profile
 from .linsys import (HomForm, MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
@@ -31,6 +32,11 @@ class LemmaCheckResult:
     all_passed: bool
     counterexample: str | None = None
     details: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        # a suite repeats its messages call after call, so results that are
+        # kept share one copy of each
+        self.details = [intern(d) for d in self.details]
 
     def to_json(self) -> dict:
         return {

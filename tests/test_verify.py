@@ -70,6 +70,15 @@ def test_catalogue_suites_golden_output():
     assert check_milnor_lemma().to_json() == MILNOR_JSON
 
 
+def test_kept_suite_results_share_their_messages():
+    # every catalogue request runs both suites; kept results hold one copy
+    # of each message between them
+    for check in (check_degree_bounds, check_milnor_lemma):
+        first, second = check(), check()
+        assert first.details == second.details and len(first.details) >= 4
+        assert all(a is b for a, b in zip(first.details, second.details))
+
+
 def test_degree_bounds_divide_by_the_bounded_power(monkeypatch):
     # (b), (c), (d) and (d') only ask whether l or l^2 divides every basis
     # form, so the full power of the line is never sought

@@ -151,12 +151,6 @@ class MultiPoly:
     def coeff(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def coeff_of(self, name: str, k: int) -> "MultiPoly":
-        """Coefficient of name^k, kept in this frame with name's exponent 0."""
-        i = self.vars.index(name)
-        return MultiPoly._of(self.vars, {exp[:i] + (0,) + exp[i + 1:]: c
-                                         for exp, c in self.terms.items() if exp[i] == k})
-
     def support_vars(self) -> set[str]:
         used: set[str] = set()
         for exp in self.terms:
@@ -732,8 +726,6 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     polynomial remainder sequence; the fallback of `poly_gcd`."""
     used = f.support_vars() | g.support_vars()
     main = [v for v in f.vars if v in used][-1]
-    if len(used) >= 2 and f.is_homogeneous() and g.is_homogeneous():
-        return _homogeneous_gcd(f, g, f.vars.index(main))
 
     def content_wrt(p: MultiPoly) -> MultiPoly:
         coeffs = list(p.coefficients_in((main,)).items())
@@ -763,23 +755,6 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not A.is_constant() and A.degree_in(main) > 0:
         A = A.exact_div(content_wrt(A).rename(f.vars))
     return (cc * A.primitive()).primitive()
-
-
-def _homogeneous_gcd(f: MultiPoly, g: MultiPoly, i: int) -> MultiPoly:
-    """gcd of two forms one variable down: with z the i-th variable,
-    gcd(f, g) = z^min(ord_z f, ord_z g) * homogenise(gcd(f|z=1, g|z=1)).
-
-    Homogenising keeps the coefficients and the grevlex leading term, so the
-    result is primitive with a positive leading coefficient, as the gcd of
-    the forms computed directly would be."""
-    def at_one(p: MultiPoly) -> MultiPoly:
-        # injective on the terms of a form, so no two terms collide
-        return MultiPoly(p.vars, {exp[:i] + (0,) + exp[i + 1:]: c for exp, c in p.terms.items()})
-
-    d = poly_gcd(at_one(f), at_one(g))
-    top = d.total_degree() + min(min(exp[i] for exp in p.terms) for p in (f, g))
-    return MultiPoly(f.vars, {exp[:i] + (top - sum(exp),) + exp[i + 1:]: c
-                              for exp, c in d.terms.items()})
 
 
 def pseudo_remainder(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:

@@ -9,7 +9,9 @@ degeneration diagrams; explicit witness curves live in `witnesses`.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 
@@ -57,20 +59,34 @@ def L(n, a, b, c, d, tag="") -> StratumLabel:
     return StratumLabel(n, a, b, c, d, tag)
 
 
+# n is at most 4: the doubled part of an octic has degree at most 4
+_ID = re.compile(r"(?:N|M_([1-4]))_(?:(1*)((?:1b)*)(2*)((?:2b)*)|empty)(?:_(p+))?")
+
+
+def label_from_id(ident: str) -> StratumLabel:
+    """The label whose `ascii_id` is `ident`; ValueError for any other string."""
+    match = _ID.fullmatch(ident)
+    if match:
+        n, a, b, c, d, primes = match.groups(default="")
+        label = L(int(n or 0), len(a), len(b) // 2, len(c), len(d) // 2, "'" * len(primes))
+        if label.ascii_id() == ident:   # "N_" matches with an empty body
+            return label
+    raise ValueError(f"no stratum label has the id {ident!r}")
+
+
 # -- inhabitation -----------------------------------------------------------
 
 
+# the counts (a, b, c, d) of a normal label: at most four points
+_COUNTS = [k for k in product(range(5), repeat=4) if sum(k) <= 4]
+
+
 def inhabited_normal_labels() -> list[StratumLabel]:
-    out = []
-    for a in range(5):
-        for b in range(5):
-            for c in range(5):
-                for d in range(5):
-                    s = a + b + c + d
-                    if s <= 3 or (a, b, c, d) in ((3, 0, 1, 0), (0, 0, 4, 0)):
-                        out.append(L(0, a, b, c, d))
-    out.sort(key=lambda l: (l.total_sings, -l.a, -l.b, -l.c, -l.d))
-    return out
+    """Every normal label that no rule makes empty."""
+    empty = empty_normal_labels()
+    labels = (L(0, *k) for k in _COUNTS)
+    return sorted((l for l in labels if l not in empty),
+                  key=lambda l: (l.total_sings, -l.a, -l.b, -l.c, -l.d))
 
 
 EMPTY_NORMAL_REASONS = {
@@ -81,25 +97,16 @@ EMPTY_NORMAL_REASONS = {
 
 
 def empty_normal_labels() -> dict[StratumLabel, str]:
-    out = {}
-    for (n, a, b, c, d), reason in EMPTY_NORMAL_REASONS.items():
-        out[L(n, a, b, c, d)] = reason
-    for a in range(5):
-        for b in range(5):
-            for c in range(5):
-                for d in range(5):
-                    if a + b + c + d == 4 and (b or d) and (0, a, b, c, d) not in EMPTY_NORMAL_REASONS:
-                        out[L(0, a, b, c, d)] = ("a surface with four elliptic singularities "
-                                                 "has only simply elliptic ones")
+    out = {L(*k): reason for k, reason in EMPTY_NORMAL_REASONS.items()}
+    for k in _COUNTS:
+        if sum(k) == 4 and (k[1] or k[3]) and (0, *k) not in EMPTY_NORMAL_REASONS:
+            out[L(0, *k)] = ("a surface with four elliptic singularities "
+                             "has only simply elliptic ones")
     return out
 
 
 def inhabited_nonnormal_labels() -> list[StratumLabel]:
-    return [
-        L(4, 0, 0, 0, 0), L(3, 0, 0, 0, 0), L(2, 0, 0, 0, 0), L(2, 0, 0, 1, 0),
-        L(1, 0, 0, 0, 0), L(1, 1, 0, 0, 0), L(1, 0, 1, 0, 0), L(1, 0, 0, 1, 0),
-        L(1, 0, 0, 0, 1), L(1, 2, 0, 0, 0),
-    ]
+    return [L(*k) for k in NONNORMAL_DIMENSIONS]
 
 
 # -- component splitting -----------------------------------------------------
@@ -231,16 +238,11 @@ def degeneration_rule(src: StratumLabel, dst: StratumLabel) -> bool:
 
 
 def simply_elliptic_nodes() -> list[StratumLabel]:
-    nodes = [
-        L(0, 0, 0, 0, 0),
-        L(0, 0, 0, 1, 0), L(0, 1, 0, 0, 0),
-        L(0, 0, 0, 2, 0), L(0, 1, 0, 1, 0, "'"), L(0, 1, 0, 1, 0, "''"), L(0, 2, 0, 0, 0),
-        L(0, 0, 0, 3, 0), L(0, 1, 0, 2, 0, "'"), L(0, 1, 0, 2, 0, "''"),
-        L(0, 2, 0, 1, 0, "'"), L(0, 2, 0, 1, 0, "''"), L(0, 2, 0, 1, 0, "'''"),
-        L(0, 3, 0, 0, 0, "'"), L(0, 3, 0, 0, 0, "''"),
-        L(0, 0, 0, 4, 0), L(0, 3, 0, 1, 0, "'"), L(0, 3, 0, 1, 0, "''"),
-    ]
-    return nodes
+    """The components with only simply elliptic points (b = d = 0), fewest
+    points first."""
+    labels = [l for l in inhabited_normal_labels() if not (l.b or l.d)]
+    labels.sort(key=lambda l: (l.total_sings, l.a))
+    return [L(0, *l.counts, tag) for l in labels for tag in component_tags(l)]
 
 
 def simply_elliptic_edges(nodes: list[StratumLabel]) -> list[tuple[StratumLabel, StratumLabel]]:
@@ -391,7 +393,6 @@ def build_catalogue(include_empty: bool = True) -> list[StratumRecord]:
     labels are appended with their reasons."""
     from .witnesses import WITNESS_BUILDERS
 
-    fig2 = {(n.a, n.b, n.c, n.d, n.tag) for n in simply_elliptic_nodes()}
     records: list[StratumRecord] = []
     for label in inhabited_normal_labels():
         dim = expected_dimension(*label.counts)
@@ -402,7 +403,7 @@ def build_catalogue(include_empty: bool = True) -> list[StratumRecord]:
             wkey = key if key in WITNESS_BUILDERS else label.ascii_id()
             records.append(StratumRecord(
                 tagged, dim, h, None, birational_type(tagged),
-                (label.a, label.b, label.c, label.d, tag) in fig2,
+                not (label.b or label.d),
                 wkey if wkey in WITNESS_BUILDERS else None))
     for label in inhabited_nonnormal_labels():
         dim = NONNORMAL_DIMENSIONS[label.match_tuple()]

@@ -18,7 +18,7 @@ from .linsys import (ConeDirection, HomForm, LineContact, MultiplicityAtPoint, N
                      normalize_point, transport_matrix)
 from .poly import MultiPoly
 from .singclass import _chart
-from .strata import L, StratumLabel
+from .strata import StratumLabel, label_from_id
 
 X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
@@ -78,23 +78,30 @@ def _generic_conic(seed, avoid=()):
     return pick_form(2, [], seed, avoid_points=avoid, checks=[_smooth_conic])
 
 
-def _generic_line(seed, avoid=()):
-    return pick_form(1, [], seed, avoid_points=avoid)
-
-
 # -- building blocks ----------------------------------------------------------
 
 PENCIL = [ (Y * Z - k * X * X).primitive() for k in range(0, 5) ]   # members y*z - k*x^2
 
-
-def _flag_conics_P1() -> list[MultiPoly]:
-    """Three conics tangent to y at P1, missing P2 and P3, pairwise contact 2
-    there and no common rational second intersection."""
-    return [
-        (Y * Z + X * X + Y * Y).primitive(),
-        (Y * Z + 2 * X * X + 2 * Y * Y).primitive(),
-        (Y * Z + 3 * X * X + X * Y + Y * Y).primitive(),
-    ]
+# curves that several recipes share: three conics tangent to y at P1, missing
+# P2 and P3, pairwise contact 2 there and no common rational second
+# intersection, and one with contact 3 with the first of them at P1
+FLAG_CONICS = [
+    (Y * Z + X * X + Y * Y).primitive(),
+    (Y * Z + 2 * X * X + 2 * Y * Y).primitive(),
+    (Y * Z + 3 * X * X + X * Y + Y * Y).primitive(),
+]
+FLAG_CONTACT3 = (Y * Z + X * X + X * Y + Y * Y).primitive()
+TANGENT_PAIR = ((Y * Z + X * X).primitive(), (Y * Z + 2 * X * X).primitive())   # at P1 and P2
+CONTACT3_P2 = (Y * Z - X * X - X * Z + Z * Z).primitive()   # contact 3 with PENCIL[1] at P2
+# the line y - x through P1, and conics tangent to it there (missing P3)
+T_P1 = (Y - X).primitive()
+T_CONIC_1 = (T_P1 * Z + X * Y).primitive()
+T_CONIC_2 = (T_P1 * Z + 2 * X * Y).primitive()
+T_CONIC_Y2 = (T_P1 * Z + Y * Y).primitive()   # contact 3 with T_CONIC_1 at P1, through P3
+FOUR_LINES_P1 = X * Y * (X + Y) * (X - 2 * Y)
+CUSPIDAL_CUBIC = (X * Z * Z - Y ** 3 + Z ** 3).primitive()   # cusp at P3, tangent z
+CIRCLE = X * X + Y * Y - Z * Z
+FERMAT_QUARTIC = X ** 4 + Y ** 4 + Z ** 4
 
 
 # -- normal locus, at most one non-simple singularity -------------------------
@@ -106,26 +113,22 @@ def w_N_empty(seed):
 
 def w_N_2(seed):
     quartic = pick_form(4, [], seed, avoid_points=[P1], checks=[])
-    return (X * Y * (X + Y) * (X - 2 * Y) * quartic, [P1])
+    return (FOUR_LINES_P1 * quartic, [P1])
 
 
 def w_N_1(seed):
-    c1, c2, c3 = _flag_conics_P1()
+    c1, c2, c3 = FLAG_CONICS
     k = _generic_conic(seed, avoid=[P1])
     return (c1 * c2 * c3 * k, [P1])
 
 
 def w_N_1b(seed):
-    c1 = (Y * Z + X * X + Y * Y).primitive()
-    c2 = (Y * Z + X * X + X * Y + Y * Y).primitive()   # contact 3 with c1 at P1
-    c3 = (Y * Z + 2 * X * X + 2 * Y * Y).primitive()
     k = _generic_conic(seed, avoid=[P1])
-    return (c1 * c2 * c3 * k, [P1])
+    return (FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * k, [P1])
 
 
 def w_N_2b(seed):
-    u = (Y * Z + X * X).primitive()
-    w = (Y * Z + 2 * X * X).primitive()     # tangent pair with u at P1 (and at P2)
+    u, w = TANGENT_PAIR
     k = _generic_conic(seed, avoid=[P1, P2])
     return (u * w * X * (X - Y) * k, [P1, P2])
 
@@ -139,63 +142,46 @@ def w_N_11(seed):
 
 
 def w_N_11b(seed):
-    c3 = (Y * Z - X * X - X * Z + Z * Z).primitive()   # contact 3 with pencil member at P2
-    lam = _generic_line(seed, avoid=[P1, P2])
-    return (Y * PENCIL[1] * PENCIL[2] * c3 * lam, [P1, P2])
+    lam = pick_form(1, [], seed, avoid_points=[P1, P2])
+    return (Y * PENCIL[1] * PENCIL[2] * CONTACT3_P2 * lam, [P1, P2])
 
 
 def w_N_1b1b(seed):
-    c1 = PENCIL[1]
-    c2 = (Y * Z - X * X + X * Y + Y * Y).primitive()   # contact 3 with c1 at P1
-    c3 = (Y * Z - X * X - X * Z + Z * Z).primitive()   # contact 3 with c1 at P2
-    return (Y * Z * c1 * c2 * c3, [P1, P2])
+    c2 = (Y * Z - X * X + X * Y + Y * Y).primitive()   # contact 3 with PENCIL[1] at P1
+    return (Y * Z * PENCIL[1] * c2 * CONTACT3_P2, [P1, P2])
 
 
 def w_N_12_p(seed):
     # [3;3] at P1 with tangent y - x (missing P3), quadruple at P3
-    t = (Y - X).primitive()
-    c1 = (t * Z + X * Y).primitive()
-    c2 = (t * Z + 2 * X * Y).primitive()
-    c3 = (t * Z + 3 * X * Y).primitive()
+    c3 = (T_P1 * Z + 3 * X * Y).primitive()
     ell = (Y - Z).primitive()
     lam = pick_form(1, [], seed, avoid_points=[P1, P3])
-    return (c1 * c2 * c3 * ell * lam, [P1, P3])
+    return (T_CONIC_1 * T_CONIC_2 * c3 * ell * lam, [P1, P3])
 
 
 def w_N_12_pp(seed):
     # distinct quadratic parts so the two conics meet the line z in different
     # conjugate pairs; the concurrent lines at P3 avoid the extra tangency point
-    q1 = (Y * Z + X * X + Y * Y).primitive()
     q2 = (Y * Z + 2 * X * X + Y * Y).primitive()
-    return (Y * q1 * q2 * Z * (Y - 2 * Z) * (Y + 2 * Z), [P1, P3])
+    return (Y * FLAG_CONICS[0] * q2 * Z * (Y - 2 * Z) * (Y + 2 * Z), [P1, P3])
 
 
 def w_N_12b(seed):
-    t = (Y - X).primitive()
-    c1 = (t * Z + X * Y).primitive()
-    c2 = (t * Z + 2 * X * Y).primitive()
-    cubic = (X * Z * Z - Y ** 3 + Z ** 3).primitive()   # cusp at P3, tangent z
-    return (t * c1 * c2 * cubic, [P1, P3])
+    return (T_P1 * T_CONIC_1 * T_CONIC_2 * CUSPIDAL_CUBIC, [P1, P3])
 
 
 def w_N_1b2(seed):
-    # c1 is tangent to y+z at P3 and c2 to z there, so the extra lines through
-    # P3 must avoid those directions
-    t = (Y - X).primitive()
-    c1 = (t * Z + X * Y).primitive()
-    c2 = (t * Z + Y * Y).primitive()        # contact 3 with c1 at P1, through P3
+    # T_CONIC_1 is tangent to y+z at P3 and T_CONIC_Y2 to z there, so the
+    # extra lines through P3 must avoid those directions
     l1 = (Y - Z).primitive()
     l2 = (Y + 2 * Z).primitive()
     lam = pick_form(1, [], seed, avoid_points=[P1, P3])
-    return (t * c1 * c2 * l1 * l2 * lam, [P1, P3])
+    return (T_P1 * T_CONIC_1 * T_CONIC_Y2 * l1 * l2 * lam, [P1, P3])
 
 
 def w_N_1b2b(seed):
-    t = (Y - X).primitive()
-    c1 = (t * Z + X * Y).primitive()
-    c2 = (t * Z + Y * Y).primitive()
     cubic = (X * Y * Y - Z ** 3).primitive()   # cusp at P3 with tangent y
-    return (t * c1 * c2 * cubic, [P1, P3])
+    return (T_P1 * T_CONIC_1 * T_CONIC_Y2 * cubic, [P1, P3])
 
 
 def w_N_22(seed):
@@ -220,9 +206,8 @@ def w_N_22(seed):
 
 
 def w_N_22b(seed):
-    cubic = (X * Z * Z - Y ** 3 + Z ** 3).primitive()
     m = (Y - Z).primitive()
-    return (Y * X * (X - Y) * (X + Y) * cubic * m, [P1, P3])
+    return (Y * X * (X - Y) * (X + Y) * CUSPIDAL_CUBIC * m, [P1, P3])
 
 
 def w_N_2b2b(seed):
@@ -512,21 +497,20 @@ def w_N_2222(seed):
 
 
 def w_M_4_empty(seed):
-    return ((X ** 4 + Y ** 4 + Z ** 4) ** 2, [])
+    return (FERMAT_QUARTIC ** 2, [])
 
 
 def w_M_3_empty(seed):
     cubic = pick_form(3, [], seed, checks=[])
-    return ((X * X + Y * Y - Z * Z) * cubic * cubic, [])
+    return (CIRCLE * cubic * cubic, [])
 
 
 def w_M_2_empty(seed):
-    return ((X ** 4 + Y ** 4 + Z ** 4) * (X * X + Y * Y - Z * Z) ** 2, [])
+    return (FERMAT_QUARTIC * CIRCLE ** 2, [])
 
 
 def w_M_2_2(seed):
-    w = (X * X + Y * Y - Z * Z).primitive()
-    return (X * Y * (X + Y) * (X - 2 * Y) * w * w, [P1])
+    return (FOUR_LINES_P1 * CIRCLE * CIRCLE, [P1])
 
 
 def w_M_1_empty(seed):
@@ -535,30 +519,25 @@ def w_M_1_empty(seed):
 
 
 def w_M_1_2(seed):
-    w = (X * X + Y * Y - Z * Z).primitive()
     line = pick_form(1, [], seed, avoid_points=[P1])
-    return (X * Y * (X + Y) * (X - 2 * Y) * w * line * line, [P1])
+    return (FOUR_LINES_P1 * CIRCLE * line * line, [P1])
 
 
 def w_M_1_2b(seed):
-    u = (Y * Z + X * X).primitive()
-    w = (Y * Z + 2 * X * X).primitive()
+    u, w = TANGENT_PAIR
     line = pick_form(1, [], seed, avoid_points=[P1, P2])
     return (u * w * X * (X - Y) * line * line, [P1, P2])
 
 
 def w_M_1_1(seed):
-    c1, c2, c3 = _flag_conics_P1()
+    c1, c2, c3 = FLAG_CONICS
     line = pick_form(1, [], seed, avoid_points=[P1])
     return (c1 * c2 * c3 * line * line, [P1])
 
 
 def w_M_1_1b(seed):
-    c1 = (Y * Z + X * X + Y * Y).primitive()
-    c2 = (Y * Z + X * X + X * Y + Y * Y).primitive()
-    c3 = (Y * Z + 2 * X * X + 2 * Y * Y).primitive()
     line = pick_form(1, [], seed, avoid_points=[P1])
-    return (c1 * c2 * c3 * line * line, [P1])
+    return (FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * line * line, [P1])
 
 
 def w_M_1_11(seed):
@@ -569,61 +548,18 @@ def w_M_1_11(seed):
 # -- registry and validation --------------------------------------------------------
 
 
-# Keyed by the ids that catalogue records carry as `witness_key`.
+# Keyed by the ids that catalogue records carry as `witness_key`: the recipe
+# for id k is `w_k`, and its label is read from k.
 WITNESS_BUILDERS: dict[str, tuple[StratumLabel, callable]] = {
-    "N_empty": (L(0, 0, 0, 0, 0), w_N_empty),
-    "N_1": (L(0, 1, 0, 0, 0), w_N_1),
-    "N_1b": (L(0, 0, 1, 0, 0), w_N_1b),
-    "N_2": (L(0, 0, 0, 1, 0), w_N_2),
-    "N_2b": (L(0, 0, 0, 0, 1), w_N_2b),
-    "N_11": (L(0, 2, 0, 0, 0), w_N_11),
-    "N_11b": (L(0, 1, 1, 0, 0), w_N_11b),
-    "N_1b1b": (L(0, 0, 2, 0, 0), w_N_1b1b),
-    "N_12_p": (L(0, 1, 0, 1, 0, "'"), w_N_12_p),
-    "N_12_pp": (L(0, 1, 0, 1, 0, "''"), w_N_12_pp),
-    "N_12b": (L(0, 1, 0, 0, 1), w_N_12b),
-    "N_1b2": (L(0, 0, 1, 1, 0), w_N_1b2),
-    "N_1b2b": (L(0, 0, 1, 0, 1), w_N_1b2b),
-    "N_22": (L(0, 0, 0, 2, 0), w_N_22),
-    "N_22b": (L(0, 0, 0, 1, 1), w_N_22b),
-    "N_2b2b": (L(0, 0, 0, 0, 2), w_N_2b2b),
-    "N_111_p": (L(0, 3, 0, 0, 0, "'"), w_N_111_p),
-    "N_111_pp": (L(0, 3, 0, 0, 0, "''"), w_N_111_pp),
-    "N_111b": (L(0, 2, 1, 0, 0), w_N_111b),
-    "N_11b1b": (L(0, 1, 2, 0, 0), w_N_11b1b),
-    "N_1b1b1b": (L(0, 0, 3, 0, 0), w_N_1b1b1b),
-    "N_112_p": (L(0, 2, 0, 1, 0, "'"), w_N_112_p),
-    "N_112_pp": (L(0, 2, 0, 1, 0, "''"), w_N_112_pp),
-    "N_112_ppp": (L(0, 2, 0, 1, 0, "'''"), w_N_112_ppp),
-    "N_112b": (L(0, 2, 0, 0, 1), w_N_112b),
-    "N_11b2": (L(0, 1, 1, 1, 0), w_N_11b2),
-    "N_11b2b": (L(0, 1, 1, 0, 1), w_N_11b2b),
-    "N_1b1b2": (L(0, 0, 2, 1, 0), w_N_1b1b2),
-    "N_1b1b2b": (L(0, 0, 2, 0, 1), w_N_1b1b2b),
-    "N_122_p": (L(0, 1, 0, 2, 0, "'"), w_N_122_p),
-    "N_122_pp": (L(0, 1, 0, 2, 0, "''"), w_N_122_pp),
-    "N_1b22": (L(0, 0, 1, 2, 0), w_N_1b22),
-    "N_122b": (L(0, 1, 0, 1, 1), w_N_122b),
-    "N_1b22b": (L(0, 0, 1, 1, 1), w_N_1b22b),
-    "N_12b2b": (L(0, 1, 0, 0, 2), w_N_12b2b),
-    "N_1b2b2b": (L(0, 0, 1, 0, 2), w_N_1b2b2b),
-    "N_222": (L(0, 0, 0, 3, 0), w_N_222),
-    "N_222b": (L(0, 0, 0, 2, 1), w_N_222b),
-    "N_22b2b": (L(0, 0, 0, 1, 2), w_N_22b2b),
-    "N_2b2b2b": (L(0, 0, 0, 0, 3), w_N_2b2b2b),
-    "N_1112_p": (L(0, 3, 0, 1, 0, "'"), w_N_1112_p),
-    "N_1112_pp": (L(0, 3, 0, 1, 0, "''"), w_N_1112_pp),
-    "N_2222": (L(0, 0, 0, 4, 0), w_N_2222),
-    "M_4_empty": (L(4, 0, 0, 0, 0), w_M_4_empty),
-    "M_3_empty": (L(3, 0, 0, 0, 0), w_M_3_empty),
-    "M_2_empty": (L(2, 0, 0, 0, 0), w_M_2_empty),
-    "M_2_2": (L(2, 0, 0, 1, 0), w_M_2_2),
-    "M_1_empty": (L(1, 0, 0, 0, 0), w_M_1_empty),
-    "M_1_1": (L(1, 1, 0, 0, 0), w_M_1_1),
-    "M_1_1b": (L(1, 0, 1, 0, 0), w_M_1_1b),
-    "M_1_2": (L(1, 0, 0, 1, 0), w_M_1_2),
-    "M_1_2b": (L(1, 0, 0, 0, 1), w_M_1_2b),
-    "M_1_11": (L(1, 2, 0, 0, 0), w_M_1_11),
+    builder.__name__[2:]: (label_from_id(builder.__name__[2:]), builder) for builder in (
+        w_N_empty, w_N_1, w_N_1b, w_N_2, w_N_2b, w_N_11, w_N_11b, w_N_1b1b, w_N_12_p,
+        w_N_12_pp, w_N_12b, w_N_1b2, w_N_1b2b, w_N_22, w_N_22b, w_N_2b2b, w_N_111_p,
+        w_N_111_pp, w_N_111b, w_N_11b1b, w_N_1b1b1b, w_N_112_p, w_N_112_pp, w_N_112_ppp,
+        w_N_112b, w_N_11b2, w_N_11b2b, w_N_1b1b2, w_N_1b1b2b, w_N_122_p, w_N_122_pp,
+        w_N_1b22, w_N_122b, w_N_1b22b, w_N_12b2b, w_N_1b2b2b, w_N_222, w_N_222b, w_N_22b2b,
+        w_N_2b2b2b, w_N_1112_p, w_N_1112_pp, w_N_2222, w_M_4_empty, w_M_3_empty,
+        w_M_2_empty, w_M_2_2, w_M_1_empty, w_M_1_1, w_M_1_1b, w_M_1_2, w_M_1_2b, w_M_1_11,
+    )
 }
 
 

@@ -1,7 +1,7 @@
 """Test-only helpers: oracles built on the library's local intersection
 numbers, schoolbook Fraction references for evaluation, derivatives,
-substitution, division and pseudo-remainders, the Bareiss determinant and the Sylvester-determinant
-resultant, local intersection numbers from resultants at shears, random
+substitution, division and pseudo-remainders, the Bareiss determinant,
+coefficients in one variable and the Sylvester-determinant resultant, local intersection numbers from resultants at shears, random
 projectivities and their inverses, the small linear systems that the
 dimension tables quote, stratum dimensions from one tangent-space rank and
 the partial order on Hodge diamonds."""
@@ -137,14 +137,21 @@ def prem_reference(A: MultiPoly, B: MultiPoly, main: str) -> MultiPoly:
 # -- resultants ----------------------------------------------------------------
 
 
+def coeff_of(f: MultiPoly, name: str, k: int) -> MultiPoly:
+    """Coefficient of name^k in f, kept in f's frame with name's exponent 0."""
+    i = f.vars.index(name)
+    return MultiPoly(f.vars, {exp[:i] + (0,) + exp[i + 1:]: c
+                              for exp, c in f.terms.items() if exp[i] == k})
+
+
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, main: str) -> list[list[MultiPoly]]:
     """Sylvester matrix in `main`, coefficients of f in the top rows."""
     df = f.degree_in(main)
     dg = g.degree_in(main)
     if df <= 0 and dg <= 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    cf = [f.coeff_of(main, k) for k in range(df + 1)]
-    cg = [g.coeff_of(main, k) for k in range(dg + 1)]
+    cf = [coeff_of(f, main, k) for k in range(df + 1)]
+    cg = [coeff_of(g, main, k) for k in range(dg + 1)]
     n = df + dg
     zero = MultiPoly.zero(f.vars)
     rows: list[list[MultiPoly]] = []
@@ -271,8 +278,8 @@ def _resultant_order(p: MultiPoly, q: MultiPoly, shears) -> int | None:
         if len(poly_gcd(pu, qu).terms) != 1:
             continue
         # no common zero at x-infinity over y = 0
-        lp = pc.coeff_of("x", pc.degree_in("x"))
-        lq = qc.coeff_of("x", qc.degree_in("x"))
+        lp = coeff_of(pc, "x", pc.degree_in("x"))
+        lq = coeff_of(qc, "x", qc.degree_in("x"))
         if lp.evaluate({"x": 0, "y": 0}) == 0 and lq.evaluate({"x": 0, "y": 0}) == 0:
             continue
         res = resultant(pc, qc, "x").rename(("y",))

@@ -202,6 +202,30 @@ def test_diagram_command(tmp_path, capsys):
     assert text.startswith("digraph")
 
 
+# sha256 of the full output of the catalogue, diagram and verify commands,
+# recorded before witness labels, diagram nodes and inhabited labels were read
+# off the label rules; a change to how the catalogue is written down must
+# leave every output byte-identical
+CATALOGUE_OUTPUTS = {
+    "catalog": ("catalog --format json",
+                "138f9efccd272909c74147c6a6a5db80bda0dda9e3decd7beb1b9ceda9e66a84"),
+    "catalog-witnesses": ("catalog --witnesses --format json",
+                          "ee2f51b93524798d333dd7caa9ddfc58ad43ada608ab75e340927077ead4795f"),
+    "diagram-simply-elliptic": ("diagram --scope simply-elliptic",
+                                "0c4bbcec0a33a958b3a31b534140b2cfe17d01e1c57dc8723076be95639c2849"),
+    "diagram-full-rules": ("diagram --scope full-rules",
+                           "534ab5a9d55baa4baae3069d48a8458d650ac57ad8875a60134c9c9788a02c1f"),
+    "verify": ("verify", "a9a74e451c446837420bc861d0d24477fd83bc7dfce8d0a3851c95cd6a5f4fa1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_OUTPUTS))
+def test_catalogue_outputs_are_pinned(capsys, name):
+    command, digest = CATALOGUE_OUTPUTS[name]
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_outputs_deterministic(capsys, constraint_file):
     main(["linsys", "--constraints", constraint_file, "--basis"])
     first = capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from octica.strata import (L, build_catalogue, catalogue_totals, component_tags,
                            degeneration_graph, degeneration_rule, empty_normal_labels,
                            expected_dimension, hodge_type, inhabited_nonnormal_labels,
-                           inhabited_normal_labels, birational_type,
+                           inhabited_normal_labels, birational_type, label_from_id,
                            normal_component_count_multiset)
 
 from local_checks import hodge_hasse_edges, hodge_leq
@@ -160,3 +160,15 @@ def test_ascii_ids_are_dot_safe():
     for record in build_catalogue():
         ident = record.label.ascii_id()
         assert all(c.isalnum() or c == "_" for c in ident), ident
+
+
+def test_label_from_id_inverts_ascii_id():
+    records = build_catalogue()
+    labels = [r.label for r in records] + [r.label.untagged() for r in records]
+    assert any(r.empty for r in records) and any(r.label.n for r in records)
+    assert any(l.tag for l in labels)
+    for label in labels:
+        assert label_from_id(label.ascii_id()) == label
+    for ident in ("N_3", "M_5_empty", "N_12_q", "N_", "X_1", "M_0_empty", "N_21", "N_1_"):
+        with pytest.raises(ValueError):
+            label_from_id(ident)

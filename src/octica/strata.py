@@ -83,9 +83,8 @@ _COUNTS = [k for k in product(range(5), repeat=4) if sum(k) <= 4]
 
 def inhabited_normal_labels() -> list[StratumLabel]:
     """Every normal label that no rule makes empty."""
-    empty = empty_normal_labels()
-    labels = (L(0, *k) for k in _COUNTS)
-    return sorted((l for l in labels if l not in empty),
+    empty = {label.counts for label in empty_normal_labels()}
+    return sorted((L(0, *k) for k in _COUNTS if k not in empty),
                   key=lambda l: (l.total_sings, -l.a, -l.b, -l.c, -l.d))
 
 

@@ -1,10 +1,11 @@
 """Test-only helpers: oracles built on the library's local intersection
 numbers, schoolbook Fraction references for evaluation, derivatives,
 substitution, division and pseudo-remainders, the Bareiss determinant,
-coefficients in one variable and the Sylvester-determinant resultant, local intersection numbers from resultants at shears, random
-projectivities and their inverses, the small linear systems that the
-dimension tables quote, stratum dimensions from one tangent-space rank and
-the partial order on Hodge diamonds."""
+coefficients in one variable and the Sylvester-determinant resultant, local
+intersection numbers from resultants at shears, random projectivities and
+their inverses, the small linear systems that the dimension tables quote,
+stratum dimensions from one tangent-space rank and the partial order on
+Hodge diamonds."""
 import itertools
 import random
 from fractions import Fraction

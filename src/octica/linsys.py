@@ -458,3 +458,29 @@ def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) ->
 def common_divisibility(forms: Sequence[HomForm | MultiPoly], l: MultiPoly) -> int:
     """Largest k with l^k dividing every form (the general member's order)."""
     return min(divisibility_multiplicity(f, l) for f in forms)
+
+
+# -- conics through prescribed data -------------------------------------------
+
+
+def conic_through(points: Sequence[Point] = (), flags: Sequence[tuple[Point, MultiPoly]] = ()) -> HomForm:
+    """The unique conic through the given simple points and tangent flags:
+    the degree-2 graded piece of the conditions, which must have dimension 1.
+
+    Each plain point imposes one condition, each flag (point, tangent line)
+    two: the conic passes through the point with contact >= 2 to the line.
+    """
+    conditions = ([MultiplicityAtPoint(p, 1) for p in points] +
+                  [LineContact(p, line, 2) for p, line in flags])
+    basis = condition_ideal_graded_piece(conditions, 2).basis
+    if len(basis) != 1:
+        raise AnchorError(f"conic constraints are not independent: solution space {len(basis)}")
+    return basis[0]
+
+
+def conic_gradient(Q: HomForm, p: Point) -> MultiPoly:
+    """Tangent line of a smooth conic at a point on it."""
+    coeffs = [evaluate_at(Q.poly.derivative(v), p) for v in PLANE_VARS]
+    if all(c == 0 for c in coeffs):
+        raise AnchorError("conic is singular at the point")
+    return MultiPoly.linear(PLANE_VARS, coeffs).primitive()

@@ -88,7 +88,7 @@ class PolyParser:
             sign = -1 if tok[0] == "-" else 1
         total = self._term(tz) * sign
         while True:
-            kind, _, pos = tz.peek()
+            kind, _, _ = tz.peek()
             if kind in ("+", "-"):
                 tz.next()
                 term = self._term(tz)
@@ -119,7 +119,7 @@ class PolyParser:
 
     def _factor(self, tz) -> MultiPoly:
         base = self._base(tz)
-        kind, _, pos = tz.peek()
+        kind, _, _ = tz.peek()
         if kind == "^":
             tz.next()
             ekind, etext, epos = tz.next()

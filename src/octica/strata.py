@@ -10,9 +10,10 @@ degeneration diagrams; explicit witness curves live in `witnesses`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +106,7 @@ def empty_normal_labels() -> dict[StratumLabel, str]:
 
 
 def inhabited_nonnormal_labels() -> list[StratumLabel]:
-    return [L(*k) for k in NONNORMAL_DIMENSIONS]
+    return [L(*k) for k in NONNORMAL_ROWS]
 
 
 # -- component splitting -----------------------------------------------------
@@ -140,14 +141,6 @@ def component_tags(label: StratumLabel) -> list[str]:
     return [""]
 
 
-def normal_component_count_multiset() -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for label in inhabited_normal_labels():
-        k = len(component_tags(label))
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
 # -- Hodge types ---------------------------------------------------------------
 
 
@@ -160,12 +153,6 @@ def hodge_type(label: StratumLabel) -> tuple[int, int]:
     if s == 4:
         s = 3
     return (r, s)
-
-
-NONNORMAL_HODGE_ANNOTATIONS = {
-    (2, 0, 0, 0, 0): [(0, 3), (1, 2), (2, 1), (3, 0)],
-    (4, 0, 0, 0, 0): [(0, 3), (1, 2), (2, 1), (3, 0)],
-}
 
 
 # -- birational types ------------------------------------------------------------
@@ -181,20 +168,31 @@ ENRIQUES = "Enriques"
 RULED_1 = "Ruled of genus 1"
 
 
+class NonnormalRow(NamedTuple):
+    dimension: int
+    birational: str
+    hodge_possibilities: list[tuple[int, int]] | None = None   # where the label leaves it open
+
+
+_EVERY_HODGE_TYPE = [(0, 3), (1, 2), (2, 1), (3, 0)]
+# one row per inhabited non-normal label, keyed by its `match_tuple`
+NONNORMAL_ROWS = {
+    (4, 0, 0, 0, 0): NonnormalRow(6, "P^2 disjoint-union P^2", _EVERY_HODGE_TYPE),
+    (3, 0, 0, 0, 0): NonnormalRow(6, RATIONAL),
+    (2, 0, 0, 0, 0): NonnormalRow(11, "Weak del Pezzo of degree 2", _EVERY_HODGE_TYPE),
+    (2, 0, 0, 1, 0): NonnormalRow(3, RULED_1),
+    (1, 0, 0, 0, 0): NonnormalRow(21, "K3-Surface"),
+    (1, 1, 0, 0, 0): NonnormalRow(12, RATIONAL),
+    (1, 0, 1, 0, 0): NonnormalRow(11, RATIONAL),
+    (1, 0, 0, 1, 0): NonnormalRow(13, RATIONAL),
+    (1, 0, 0, 0, 1): NonnormalRow(12, RATIONAL),
+    (1, 2, 0, 0, 0): NonnormalRow(3, RULED_1),
+}
+
+
 def birational_type(label: StratumLabel) -> str:
     if label.n != 0:
-        return {
-            (4, 0, 0, 0, 0): "P^2 disjoint-union P^2",
-            (3, 0, 0, 0, 0): RATIONAL,
-            (2, 0, 0, 0, 0): "Weak del Pezzo of degree 2",
-            (2, 0, 0, 1, 0): RULED_1,
-            (1, 0, 0, 0, 0): "K3-Surface",
-            (1, 1, 0, 0, 0): RATIONAL,
-            (1, 0, 1, 0, 0): RATIONAL,
-            (1, 0, 0, 1, 0): RATIONAL,
-            (1, 0, 0, 0, 1): RATIONAL,
-            (1, 2, 0, 0, 0): RULED_1,
-        }[label.match_tuple()]
+        return NONNORMAL_ROWS[label.match_tuple()].birational
     a, b, c, d = label.counts
     deg1, deg2 = a + b, c + d
     tag = label.tag
@@ -244,52 +242,25 @@ def simply_elliptic_nodes() -> list[StratumLabel]:
     return [L(0, *l.counts, tag) for l in labels for tag in component_tags(l)]
 
 
-def simply_elliptic_edges(nodes: list[StratumLabel]) -> list[tuple[StratumLabel, StratumLabel]]:
-    E = []
-
-    def add(src, dst):
-        E.append((src, dst))
-
-    N = {}
-    for node in nodes:
-        N[(node.a, node.c, node.tag)] = node
-    add(N[(0, 0, "")], N[(0, 1, "")])
-    add(N[(0, 0, "")], N[(1, 0, "")])
-    add(N[(0, 1, "")], N[(0, 2, "")])
-    add(N[(0, 1, "")], N[(1, 1, "'")])
-    add(N[(0, 1, "")], N[(1, 1, "''")])
-    add(N[(1, 0, "")], N[(2, 0, "")])
-    add(N[(1, 0, "")], N[(1, 1, "'")])
-    add(N[(1, 0, "")], N[(1, 1, "''")])
-    add(N[(0, 2, "")], N[(0, 3, "")])
-    add(N[(0, 2, "")], N[(1, 2, "'")])
-    add(N[(0, 2, "")], N[(1, 2, "''")])
-    add(N[(1, 1, "'")], N[(1, 2, "'")])
-    add(N[(1, 1, "'")], N[(1, 2, "''")])
-    add(N[(1, 1, "'")], N[(2, 1, "'")])
-    add(N[(1, 1, "'")], N[(2, 1, "''")])
-    add(N[(1, 1, "''")], N[(1, 2, "''")])
-    add(N[(1, 1, "''")], N[(2, 1, "''")])
-    add(N[(1, 1, "''")], N[(2, 1, "'''")])
-    add(N[(2, 0, "")], N[(3, 0, "'")])
-    add(N[(2, 0, "")], N[(3, 0, "''")])
-    add(N[(2, 0, "")], N[(2, 1, "'")])
-    add(N[(2, 0, "")], N[(2, 1, "''")])
-    add(N[(2, 0, "")], N[(2, 1, "'''")])
-    add(N[(0, 3, "")], N[(0, 4, "")])
-    add(N[(3, 0, "'")], N[(3, 1, "'")])
-    add(N[(3, 0, "''")], N[(3, 1, "''")])
-    add(N[(2, 1, "''")], N[(3, 1, "''")])
-    add(N[(2, 1, "'''")], N[(3, 1, "'")])
-    add(N[(2, 1, "'''")], N[(3, 1, "''")])
-    return E
-
-
 # Built once: the labels are frozen and the edges are tuples, so every
 # simply elliptic graph shares these two tuples and a kept graph costs
-# nothing more than its own object.
+# nothing more than its own object.  The edges are entered by hand, as
+# `source>target` DOT ids.
 _SIMPLY_ELLIPTIC_NODES = tuple(simply_elliptic_nodes())
-_SIMPLY_ELLIPTIC_EDGES = tuple(simply_elliptic_edges(list(_SIMPLY_ELLIPTIC_NODES)))
+_SIMPLY_ELLIPTIC_EDGES = tuple(tuple(map(label_from_id, edge.split(">"))) for edge in """
+    N_empty>N_2 N_empty>N_1
+    N_2>N_22 N_2>N_12_p N_2>N_12_pp
+    N_1>N_11 N_1>N_12_p N_1>N_12_pp
+    N_22>N_222 N_22>N_122_p N_22>N_122_pp
+    N_12_p>N_122_p N_12_p>N_122_pp N_12_p>N_112_p N_12_p>N_112_pp
+    N_12_pp>N_122_pp N_12_pp>N_112_pp N_12_pp>N_112_ppp
+    N_11>N_111_p N_11>N_111_pp N_11>N_112_p N_11>N_112_pp N_11>N_112_ppp
+    N_222>N_2222
+    N_111_p>N_1112_p
+    N_111_pp>N_1112_pp
+    N_112_pp>N_1112_pp
+    N_112_ppp>N_1112_p N_112_ppp>N_1112_pp
+""".split())
 
 
 @dataclass(slots=True)
@@ -372,20 +343,6 @@ class StratumRecord:
         }
 
 
-NONNORMAL_DIMENSIONS = {
-    (4, 0, 0, 0, 0): 6,
-    (3, 0, 0, 0, 0): 6,
-    (2, 0, 0, 0, 0): 11,
-    (2, 0, 0, 1, 0): 3,
-    (1, 0, 0, 0, 0): 21,
-    (1, 1, 0, 0, 0): 12,
-    (1, 0, 1, 0, 0): 11,
-    (1, 0, 0, 1, 0): 13,
-    (1, 0, 0, 0, 1): 12,
-    (1, 2, 0, 0, 0): 3,
-}
-
-
 def build_catalogue(include_empty: bool = True) -> list[StratumRecord]:
     """Every inhabited stratum component with dimension, Hodge type,
     birational type and the key of its witness recipe; the named empty
@@ -405,11 +362,10 @@ def build_catalogue(include_empty: bool = True) -> list[StratumRecord]:
                 not (label.b or label.d),
                 wkey if wkey in WITNESS_BUILDERS else None))
     for label in inhabited_nonnormal_labels():
-        dim = NONNORMAL_DIMENSIONS[label.match_tuple()]
-        annotation = NONNORMAL_HODGE_ANNOTATIONS.get(label.match_tuple())
+        row = NONNORMAL_ROWS[label.match_tuple()]
         key = label.ascii_id()
         records.append(StratumRecord(
-            label, dim, None, annotation, birational_type(label), False,
+            label, row.dimension, None, row.hodge_possibilities, row.birational, False,
             key if key in WITNESS_BUILDERS else None))
     if include_empty:
         for label, reason in empty_normal_labels().items():
@@ -421,8 +377,10 @@ def catalogue_totals(records=None) -> dict:
     records = records if records is not None else build_catalogue()
     inhabited = [r for r in records if not r.empty]
     strata = {(r.label.n, *r.label.counts) for r in inhabited}
+    # a normal label has one record per component
+    components = Counter(r.label.counts for r in inhabited if r.label.n == 0)
     return {
         "strata": len(strata),
         "components": len(inhabited),
-        "normal_component_multiset": normal_component_count_multiset(),
+        "normal_component_multiset": dict(Counter(components.values())),
     }

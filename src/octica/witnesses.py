@@ -191,7 +191,6 @@ def w_N_22(seed):
     while len(conics) < 4:
         a, b, g, d = (rng.randint(1, 6) for _ in range(4))
         q = a * X * X + b * X * Y + g * X * Z + d * Y * Z
-        key = ((g, d), (b, d))
         t1 = Fraction(g, d)
         t2 = Fraction(b, d)
         if (("p1", t1) in used_dirs) or (("p2", t2) in used_dirs):

@@ -12,12 +12,12 @@ from octica.linsys import (MultiplicityAtPoint, NNPointWithTangent,
                            PLANE_VARS, condition_ideal_graded_piece)
 from octica.paramfam import (build_condition_matrix, compare_kernels_at,
                              component_split_report, generic_rank,
-                             parametric_nn_family, rank_drop_locus,
-                             verify_no_four_33_points)
+                             parametric_nn_family, rank_drop_locus)
 from octica.poly import MultiPoly
-from octica.strata import (NONNORMAL_DIMENSIONS, build_catalogue, catalogue_totals,
+from octica.strata import (NONNORMAL_ROWS, build_catalogue, catalogue_totals,
                            degeneration_graph, degeneration_rule, expected_dimension,
                            hodge_type)
+from octica.verify import verify_no_four_33_points
 
 from local_checks import dimension_families, family_dimension, hodge_hasse_edges, hodge_leq
 
@@ -101,7 +101,7 @@ def test_criterion_4_nonnormal_dimension_table():
                         "M_1_empty": 21, "M_1_2": 13, "M_1_2b": 12, "M_1_1": 12,
                         "M_1_1b": 11, "M_1_11": 3}
         for key, (label, dimension) in results.items():
-            assert dimension == NONNORMAL_DIMENSIONS[label.match_tuple()], key
+            assert dimension == NONNORMAL_ROWS[label.match_tuple()].dimension, key
 
 
 def test_criterion_5_catalogue_totals():

@@ -1,9 +1,13 @@
 """The modules form layers: each imports only modules before it in ORDER.
 
 Imports inside functions count too.  The one exception is listed with the
-function that makes it.
+function that makes it.  A request path loads only the modules its requests
+run, checked in a fresh interpreter.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import octica
@@ -46,3 +50,24 @@ def test_modules_import_only_earlier_layers():
             if imported not in ORDER[:i] and (module, function, imported) not in EXCEPTIONS:
                 offenders.append((module, function, imported))
     assert offenders == []
+
+
+def _loaded(*modules) -> set[str]:
+    """The package's modules a fresh interpreter holds after importing these,
+    without their `octica.` prefix."""
+    code = (f"import sys, {', '.join(modules)}\n"
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'octica'))")
+    path = os.pathsep.join(filter(None, [str(Path(octica.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    return {m.removeprefix("octica.") for m in out.split()}
+
+
+def test_each_request_path_loads_only_its_own_modules():
+    # the imports of bench/systems.py: graded pieces and parametric families
+    assert _loaded("octica.cli", "octica.linsys", "octica.paramfam") == {
+        "octica", "poly", "linalg", "linsys", "parsing", "cli", "paramfam"}
+    # the imports of bench/catalogue.py: witnesses, catalogue and verify suites
+    loaded = _loaded("octica.strata", "octica.verify", "octica.witnesses")
+    assert "verify" in loaded and not loaded & {"paramfam", "cli", "parsing"}

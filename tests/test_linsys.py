@@ -8,8 +8,8 @@ import pytest
 
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LineContact,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS,
-                           condition_ideal_graded_piece, condition_rows,
-                           divisibility_multiplicity, evaluate_at, line_through,
+                           condition_ideal_graded_piece, condition_rows, conic_gradient,
+                           conic_through, divisibility_multiplicity, evaluate_at, line_through,
                            normalize_point, satisfies_conditions, transport_point)
 from octica.poly import MultiPoly, monomial_basis
 
@@ -312,3 +312,23 @@ def test_single_entry_rows_need_no_elimination(monkeypatch):
                                            NNPointWithTangent((0, 1, 0), X, 3)], 8)
     assert system.dim_forms == 24
     assert all(divisibility_multiplicity(f, X) >= 2 for f in system.basis)
+
+
+def test_conic_through_five_points():
+    conic = conic_through(points=[(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 4)])
+    for p in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 4)]:
+        assert conic.poly.evaluate({"x": Fraction(p[0]), "y": Fraction(p[1]),
+                                    "z": Fraction(p[2])}) == 0
+
+
+def test_conic_through_flags():
+    conic = conic_through(points=[(1, 0, 0)], flags=[((0, 0, 1), X + Y), ((0, 1, 0), X + Z)])
+    tangent = conic_gradient(conic, (0, 0, 1))
+    # gradient parallel to the prescribed flag line
+    assert tangent == (X + Y).primitive()
+
+
+def test_conic_through_degenerate_data_raises():
+    with pytest.raises(AnchorError):
+        conic_through(points=[(0, 0, 1), (0, 1, 1), (0, 2, 1)],
+                      flags=[((1, 0, 0), Y), ((1, 1, 1), (X - Z).primitive())])

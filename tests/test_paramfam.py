@@ -1,4 +1,4 @@
-"""Parametric families, rank drops, kernel comparisons, conic certificates."""
+"""Parametric families, rank drops and kernel comparisons."""
 import hashlib
 import math
 import random
@@ -6,20 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from octica import paramfam
 from octica.linalg import poly_kernel_basis, rank
-from octica.linsys import AnchorError, MultiplicityAtPoint, PLANE_VARS
+from octica.linsys import MultiplicityAtPoint, PLANE_VARS
 from octica.paramfam import (ParamMatrix, build_condition_matrix, compare_kernels_at,
-                             component_split_report, conic_through, conic_gradient,
-                             generic_rank, parametric_nn_family, rank_drop_locus,
-                             verify_no_four_33_points)
+                             component_split_report, generic_rank, parametric_nn_family,
+                             rank_drop_locus)
 from octica.poly import MultiPoly, poly_gcd
 
 from local_checks import degenerate_nn_direction_analysis
 
-X = MultiPoly.var(PLANE_VARS, "x")
 Y = MultiPoly.var(PLANE_VARS, "y")
-Z = MultiPoly.var(PLANE_VARS, "z")
 
 
 def two_flag_matrix():
@@ -205,90 +201,6 @@ def test_poly_kernel_basis_golden_output():
                                    "96*t^2 - 288*t + 216 64*t - 96 16" + " 0" * 28)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "09973eacf7b54344b007fb8b1ef306ecebd49085c13db57d2e4da36f4cc28490")
-
-
-def test_conic_through_five_points():
-    conic = conic_through(points=[(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 4)])
-    for p in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 4)]:
-        assert conic.poly.evaluate({"x": Fraction(p[0]), "y": Fraction(p[1]),
-                                    "z": Fraction(p[2])}) == 0
-
-
-def test_conic_through_flags():
-    conic = conic_through(points=[(1, 0, 0)], flags=[((0, 0, 1), X + Y), ((0, 1, 0), X + Z)])
-    tangent = conic_gradient(conic, (0, 0, 1))
-    # gradient parallel to the prescribed flag line
-    assert tangent == (X + Y).primitive()
-
-
-def test_conic_through_degenerate_data_raises():
-    with pytest.raises(AnchorError):
-        conic_through(points=[(0, 0, 1), (0, 1, 1), (0, 2, 1)],
-                      flags=[((1, 0, 0), Y), ((1, 1, 1), (X - Z).primitive())])
-
-
-def test_four_points_certificate():
-    cert = verify_no_four_33_points()
-    assert cert.holds
-    assert cert.residual_curve_part_explained
-    assert cert.residual_points_on_base
-    # every rational residual coincidence position lies on the base conic or
-    # on a degenerate line
-    for (u0, v0) in cert.residual_points:
-        vals = {"u": u0, "v": v0}
-        on_base = cert.base_conic.poly.rename(("x", "y", "z"))  # same frame trick below
-        c0 = cert.coincidence_polys[0]
-        # divisibility by the base conic was already certified; just re-check
-        # the recorded points against the stored data
-        base_val = _eval_uv(cert, u0, v0)
-        assert base_val == 0 or any(
-            l.evaluate(vals) == 0 for l in cert.degenerate_lines)
-
-
-def _eval_uv(cert, u0, v0):
-    poly = cert.base_conic.poly
-    total = Fraction(0)
-    for (a, b, c), coeff in poly.terms.items():
-        total += coeff * u0 ** a * v0 ** b
-    return total
-
-
-def test_four_points_certificate_negative_control():
-    cert = verify_no_four_33_points(perturb=True)
-    assert not cert.holds
-    assert cert.notes == ["coincidence polynomials are not divisible by the base conic"]
-
-
-def test_four_points_certificate_golden_fields():
-    cert = verify_no_four_33_points()
-    assert str(cert.base_conic) == "x*y + x*z + y*z"
-    assert [str(p) for p in cert.coincidence_polys] == [
-        "-2*u*v^3 - 4*u*v^2 - 2*v^3 - 2*u*v - 2*v^2",
-        "-2*u^3*v - 2*u^3 - 4*u^2*v - 2*u^2 - 2*u*v"]
-    assert [str(p) for p in cert.residuals] == ["-2*v^2 - 2*v", "-2*u^2 - 2*u"]
-    assert [str(p) for p in cert.degenerate_lines] == ["u", "v", "1", "u + v", "u + 1", "v + 1"]
-    assert cert.residual_points == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
-    assert cert.residual_curve_part_explained and cert.residual_points_on_base
-    assert cert.holds and cert.notes == []
-
-
-def test_four_points_certificate_needs_a_certified_residual_search(monkeypatch):
-    # an uncertified point search may have missed an irrational residual
-    # coincidence point, so the certificate must not hold
-    monkeypatch.setattr(paramfam, "common_rational_zeros", lambda polys: ([], False))
-    cert = verify_no_four_33_points()
-    assert not cert.holds and not cert.residual_points_on_base
-    assert cert.notes == ["could not certify rationality of all residual coincidence points"]
-
-
-def test_four_points_certificate_symmetric_rerun():
-    # relabelling the two anchored tangents swaps nothing essential: the
-    # certificate is reproducible bit for bit on a second invocation
-    a = verify_no_four_33_points()
-    b = verify_no_four_33_points()
-    assert str(a.base_conic) == str(b.base_conic)
-    assert [str(p) for p in a.coincidence_polys] == [str(p) for p in b.coincidence_polys]
-    assert a.holds and b.holds
 
 
 def test_limit_vectors_share_one_zero():

@@ -6,8 +6,7 @@ import pytest
 from octica.strata import (L, build_catalogue, catalogue_totals, component_tags,
                            degeneration_graph, degeneration_rule, empty_normal_labels,
                            expected_dimension, hodge_type, inhabited_nonnormal_labels,
-                           inhabited_normal_labels, birational_type, label_from_id,
-                           normal_component_count_multiset)
+                           inhabited_normal_labels, birational_type, label_from_id)
 
 from local_checks import hodge_hasse_edges, hodge_leq
 
@@ -25,7 +24,8 @@ def test_inhabited_strata_counts():
     assert len(labels) == 37
     components = sum(len(component_tags(l)) for l in labels)
     assert components == 68
-    assert normal_component_count_multiset() == {1: 16, 2: 13, 3: 6, 4: 2}
+    totals = catalogue_totals(build_catalogue())
+    assert totals["normal_component_multiset"] == {1: 16, 2: 13, 3: 6, 4: 2}
     assert len(inhabited_nonnormal_labels()) == 10
 
 
@@ -109,6 +109,7 @@ def test_simply_elliptic_diagram_shape():
     assert len(ids) == 18
 
     for src, dst in graph.edges:
+        assert src in graph.nodes and dst in graph.nodes, (src.display(), dst.display())
         assert degeneration_rule(src, dst), (src.display(), dst.display())
         assert hodge_leq(hodge_type(src.untagged()), hodge_type(dst.untagged()))
 

@@ -1,9 +1,14 @@
-"""Lemma-check suites and local intersection numbers."""
+"""Lemma-check suites, the four-[3;3]-points certificate and local
+intersection numbers."""
+from fractions import Fraction
+
 import pytest
 
+from octica import verify
 from octica.linsys import HomForm, PLANE_VARS
 from octica.poly import MultiPoly
-from octica.verify import check_degree_bounds, check_milnor_lemma, check_nonexistence_suite
+from octica.verify import (check_degree_bounds, check_milnor_lemma, check_nonexistence_suite,
+                           verify_no_four_33_points)
 
 from local_checks import bezout_check, intersection_multiplicity
 
@@ -104,3 +109,67 @@ def test_nonexistence_suite():
     result = check_nonexistence_suite()
     assert result.all_passed, result.counterexample
     assert result.instances_checked >= 20
+
+
+def test_four_points_certificate():
+    cert = verify_no_four_33_points()
+    assert cert.holds
+    assert cert.residual_curve_part_explained
+    assert cert.residual_points_on_base
+    # every rational residual coincidence position lies on the base conic or
+    # on a degenerate line
+    for (u0, v0) in cert.residual_points:
+        vals = {"u": u0, "v": v0}
+        on_base = cert.base_conic.poly.rename(("x", "y", "z"))  # same frame trick below
+        c0 = cert.coincidence_polys[0]
+        # divisibility by the base conic was already certified; just re-check
+        # the recorded points against the stored data
+        base_val = _eval_uv(cert, u0, v0)
+        assert base_val == 0 or any(
+            l.evaluate(vals) == 0 for l in cert.degenerate_lines)
+
+
+def _eval_uv(cert, u0, v0):
+    poly = cert.base_conic.poly
+    total = Fraction(0)
+    for (a, b, c), coeff in poly.terms.items():
+        total += coeff * u0 ** a * v0 ** b
+    return total
+
+
+def test_four_points_certificate_negative_control():
+    cert = verify_no_four_33_points(perturb=True)
+    assert not cert.holds
+    assert cert.notes == ["coincidence polynomials are not divisible by the base conic"]
+
+
+def test_four_points_certificate_golden_fields():
+    cert = verify_no_four_33_points()
+    assert str(cert.base_conic) == "x*y + x*z + y*z"
+    assert [str(p) for p in cert.coincidence_polys] == [
+        "-2*u*v^3 - 4*u*v^2 - 2*v^3 - 2*u*v - 2*v^2",
+        "-2*u^3*v - 2*u^3 - 4*u^2*v - 2*u^2 - 2*u*v"]
+    assert [str(p) for p in cert.residuals] == ["-2*v^2 - 2*v", "-2*u^2 - 2*u"]
+    assert [str(p) for p in cert.degenerate_lines] == ["u", "v", "1", "u + v", "u + 1", "v + 1"]
+    assert cert.residual_points == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+    assert cert.residual_curve_part_explained and cert.residual_points_on_base
+    assert cert.holds and cert.notes == []
+
+
+def test_four_points_certificate_needs_a_certified_residual_search(monkeypatch):
+    # an uncertified point search may have missed an irrational residual
+    # coincidence point, so the certificate must not hold
+    monkeypatch.setattr(verify, "common_rational_zeros", lambda polys: ([], False))
+    cert = verify_no_four_33_points()
+    assert not cert.holds and not cert.residual_points_on_base
+    assert cert.notes == ["could not certify rationality of all residual coincidence points"]
+
+
+def test_four_points_certificate_symmetric_rerun():
+    # relabelling the two anchored tangents swaps nothing essential: the
+    # certificate is reproducible bit for bit on a second invocation
+    a = verify_no_four_33_points()
+    b = verify_no_four_33_points()
+    assert str(a.base_conic) == str(b.base_conic)
+    assert [str(p) for p in a.coincidence_polys] == [str(p) for p in b.coincidence_polys]
+    assert a.holds and b.holds

@@ -1,9 +1,1 @@
 """Exact computer algebra for singular plane octics and their stratum catalogue."""
-
-from .poly import MultiPoly, monomial_basis, poly_gcd, resultant, squarefree_decomposition
-from .linsys import HomForm, condition_ideal_graded_piece, divisibility_multiplicity
-
-__all__ = [
-    "MultiPoly", "monomial_basis", "poly_gcd", "resultant", "squarefree_decomposition",
-    "HomForm", "condition_ideal_graded_piece", "divisibility_multiplicity",
-]

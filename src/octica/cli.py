@@ -72,7 +72,7 @@ def _form(text, degree=None) -> MultiPoly:
 
 CONDITION_KEYS = {
     "multiplicity": {"required": {"point", "order"}, "optional": set()},
-    "nn_point": {"required": {"point", "tangent", "order"}, "optional": {"degenerate", "direction"}},
+    "nn_point": {"required": {"point", "tangent", "order"}, "optional": {"direction"}},
     "cone_direction": {"required": {"point", "tangent", "multiplicity"}, "optional": {"power"}},
     "contains": {"required": {"form"}, "optional": {"multiplicity"}},
     "line_contact": {"required": {"point", "line", "order"}, "optional": set()},
@@ -95,9 +95,7 @@ def parse_condition(entry: dict):
         if kind == "multiplicity":
             return MultiplicityAtPoint(_point(entry["point"]), _int(entry["order"]))
         if kind == "nn_point":
-            direction = Fraction(0) if entry.get("degenerate", False) else None
-            if "direction" in entry:
-                direction = _fraction(entry["direction"])
+            direction = _fraction(entry["direction"]) if "direction" in entry else None
             return NNPointWithTangent(_point(entry["point"]), _form(entry["tangent"], 1),
                                       _int(entry["order"]), direction)
         if kind == "cone_direction":
@@ -199,12 +197,7 @@ def cmd_profile(args) -> int:
         raise UserError("profile needs a homogeneous curve in x, y, z")
     if poly.total_degree() < 1:
         raise UserError("profile needs a curve of positive degree")
-    hints = [_point(p) for p in args.point or []]
-    try:
-        prof = curve_profile(HomForm.of(poly), hint_points=hints)
-    except AnchorError as e:
-        raise UserError(str(e)) from e
-    _emit(prof.to_json())
+    _emit(curve_profile(HomForm.of(poly)).to_json())
     return 0
 
 
@@ -257,7 +250,7 @@ def cmd_catalog(args) -> int:
     from .witnesses import build_witness
 
     records = build_catalogue(include_empty=not args.no_empty)
-    totals = catalogue_totals([r for r in records if not r.empty])
+    totals = catalogue_totals(records)
     rows = []
     for rec in records:
         witness_poly = None
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="full singularity profile of a plane curve")
     p.add_argument("--curve", required=True)
-    p.add_argument("--point", action="append", help="hint point 'a,b,c' (repeatable)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("param-analyze", help="parametric rank and kernel analysis")

@@ -6,21 +6,18 @@ cover), checks the conductor geometry, and decides whether the curve is an
 admissible branch curve.  Points of multiplicity >= 3 carry all non-simple
 behaviour, so one certified point search (`pointsearch`) solves the six
 second-order partials of the reduced part; simple double points never need
-individual classification.  Hint points are never searched from: a hint the
-search found is reported first, any other hint on the curve last.  Contact
-bounds between the reduced and doubled parts come from resultants in the
-search's own frames, so `pointsearch` alone decides which coordinates are
-tried.
+individual classification.  Contact bounds between the reduced and doubled
+parts come from resultants in the search's own frames, so `pointsearch` alone
+decides which coordinates are tried.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linsys import (HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, normalize_point,
-                     transport_point)
+from .linsys import HomForm, PLANE_VARS, Point, apply_transport, evaluate_at, transport_point
 from .pointsearch import FRAMES, common_rational_zeros
 from .poly import MultiPoly, poly_gcd, resultant, squarefree_decomposition
-from .singclass import SingularityReport, classify, classify_point, localize
+from .singclass import SingularityReport, classify_point
 
 
 @dataclass(slots=True)
@@ -93,9 +90,8 @@ def _show(p: Point) -> str:
     return f"({':'.join(map(str, p))})"
 
 
-def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
-    """The profile of a plane curve; a hint point that is not a projective
-    point raises AnchorError."""
+def curve_profile(curve: HomForm) -> CurveSingularityProfile:
+    """The profile of a plane curve, its points in the point search's order."""
     f = curve.poly
     if f.is_zero():
         raise ValueError("zero curve")
@@ -118,8 +114,6 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
     if issues:
         return profile
 
-    hints = [normalize_point(p) for p in hint_points]
-
     # points of multiplicity >= 3 of the reduced part, which is f up to a
     # constant when nothing is doubled
     if u.total_degree() >= 3:
@@ -130,12 +124,10 @@ def curve_profile(curve: HomForm, hint_points=()) -> CurveSingularityProfile:
     if not certified:
         issues.append("could not certify rationality of all multiple points")
 
-    classified: list[Point] = []
-    for p in [h for h in hints if h in pts] + pts + hints:
-        if p in classified or evaluate_at(f, p) != 0:
-            continue
-        classified.append(p)
-        profile.reports.append(classify_point(curve, p))
+    # no point is skipped or repeated: by Euler's formula a common zero of the
+    # second partials of a form of degree >= 3 lies on the form, so on the
+    # curve, and the search records each point once
+    profile.reports = [classify_point(curve, p) for p in pts]
 
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     total_mu = 0
@@ -174,7 +166,7 @@ def _conductor_checks(profile, u: MultiPoly, v: MultiPoly, issues: list[str]) ->
                 continue
             if u.total_degree() >= 1 and evaluate_at(u, p) == 0:
                 issues.append(f"reduced part passes through a singular point {_show(p)} of the doubled part")
-            rep = classify(localize(HomForm.of(v), p))
+            rep = classify_point(HomForm.of(v), p)
             if rep.type_string() != "A1":
                 issues.append(f"doubled part has a non-nodal singularity at {_show(p)}")
     # contact between reduced and doubled part at most 2 everywhere

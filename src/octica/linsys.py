@@ -448,18 +448,6 @@ def satisfies_conditions(form: HomForm, conditions: Sequence[AnchoredCondition])
     return True
 
 
-def divisibility_multiplicity(f: HomForm | MultiPoly, l: HomForm | MultiPoly) -> int:
-    """Largest k with l^k dividing f; f nonzero, l nonconstant."""
-    fp = f.poly if isinstance(f, HomForm) else f
-    lp = l.poly if isinstance(l, HomForm) else l
-    return fp.divisor_power(lp)[0]
-
-
-def common_divisibility(forms: Sequence[HomForm | MultiPoly], l: MultiPoly) -> int:
-    """Largest k with l^k dividing every form (the general member's order)."""
-    return min(divisibility_multiplicity(f, l) for f in forms)
-
-
 # -- conics through prescribed data -------------------------------------------
 
 

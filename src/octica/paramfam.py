@@ -15,8 +15,7 @@ from typing import Sequence
 
 from .linalg import (determinantal_divisor, kernel_basis, poly_kernel_basis,
                      poly_matrix_rank, rank)
-from .linsys import (AnchoredCondition, AnchorError, HomForm, PLANE_VARS, common_divisibility,
-                     condition_rows)
+from .linsys import AnchoredCondition, AnchorError, HomForm, PLANE_VARS, condition_rows
 from .poly import MultiPoly, monomial_basis, squarefree_part
 
 
@@ -196,10 +195,9 @@ class SplitReport:
 
 def component_split_report(family: UniversalFamily, comparison: KernelComparison,
                            values: dict[str, Fraction], witness_line: MultiPoly) -> SplitReport:
-    forms_special = [family.member(v, values).poly for v in comparison.special_kernel]
-    forms_limit = [family.member(v, values).poly for v in comparison.limit_kernel]
-    forms_special = [f for f in forms_special if not f.is_zero()]
-    forms_limit = [f for f in forms_limit if not f.is_zero()]
-    div_special = common_divisibility(forms_special, witness_line) if forms_special else 0
-    div_limit = common_divisibility(forms_limit, witness_line) if forms_limit else 0
-    return SplitReport(witness_line, div_special, div_limit)
+    def order(kernel) -> int:
+        """Largest k with witness_line^k dividing every nonzero member of the kernel."""
+        forms = [f for f in (family.member(v, values).poly for v in kernel) if not f.is_zero()]
+        return min((f.divisor_power(witness_line)[0] for f in forms), default=0)
+
+    return SplitReport(witness_line, order(comparison.special_kernel), order(comparison.limit_kernel))

@@ -7,11 +7,10 @@ the ordinary and degenerate triple points with infinitely-near triple point
 J10 / J_{2,p}, and the six non-isolated types along a doubled component), or
 none of these.
 
-A germ is a `MultiPoly` in (x, y) with the point at the origin; `localize`
-moves a rational point of a plane curve to (0:0:1) and sets z = 1.
-`classify` types a germ.  `classify_point` types a curve at a point and is
-the one place that reports the point and the distinguished tangent in the
-coordinates of the curve.
+A germ is a `MultiPoly` in (x, y) with the point at the origin.  `classify`
+types a germ.  `classify_point` types a curve at a rational point: it moves
+the point to (0:0:1), sets z = 1, and is the one place that reports the point
+and the distinguished tangent in the coordinates of the curve.
 
 Milnor numbers are computed exactly as the intersection multiplicity of the
 two partial derivatives at the origin, by Fulton's algorithm in the local
@@ -49,11 +48,6 @@ def _point_on(curve: HomForm, point) -> Point:
     if evaluate_at(curve.poly, p) != 0:
         raise ValueError(f"point {point} does not lie on the curve")
     return p
-
-
-def localize(curve: HomForm, point) -> MultiPoly:
-    """Germ of the curve at the point: transport to (0:0:1), set z to 1."""
-    return _chart(curve.poly, transport_matrix(_point_on(curve, point)))
 
 
 def multiplicity(f: MultiPoly) -> int:

@@ -373,8 +373,7 @@ def build_catalogue(include_empty: bool = True) -> list[StratumRecord]:
     return records
 
 
-def catalogue_totals(records=None) -> dict:
-    records = records if records is not None else build_catalogue()
+def catalogue_totals(records) -> dict:
     inhabited = [r for r in records if not r.empty]
     strata = {(r.label.n, *r.label.counts) for r in inhabited}
     # a normal label has one record per component

@@ -84,7 +84,7 @@ def check_degree_bounds(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
         lines = MultiPoly.const(PLANE_VARS, 1)
         for k in range(n):
             lines = lines * (X + k * Y)
-        prof = curve_profile(HomForm(lines.primitive(), n), hint_points=[(0, 0, 1)])
+        prof = curve_profile(HomForm(lines.primitive(), n))
         mu = prof.total_milnor_rational
         checked += 1
         if mu != (n - 1) ** 2:
@@ -159,16 +159,16 @@ def check_milnor_lemma(seed: int = DEFAULT_SEED) -> LemmaCheckResult:
     details = []
     checked = 0
 
-    suite: list[tuple[str, MultiPoly, list, int]] = []
+    suite: list[tuple[str, MultiPoly, int]] = []
     four_lines = (X * Y * (X + Y) * (X - 2 * Y)).primitive()
-    suite.append(("four concurrent lines", four_lines, [(0, 0, 1)], 4))
-    suite.append(("smooth octic", (X ** 8 + Y ** 8 + Z ** 8), [], 8))
+    suite.append(("four concurrent lines", four_lines, 4))
+    suite.append(("smooth octic", (X ** 8 + Y ** 8 + Z ** 8), 8))
     three_conics = ((Y * Z - X * X) * (Y * Z - 2 * X * X) * (Y * Z - 3 * X * X)).primitive()
-    suite.append(("three tangent conics", three_conics, [(0, 0, 1), (0, 1, 0)], 6))
+    suite.append(("three tangent conics", three_conics, 6))
 
     profiles = {}
-    for name, poly, hints, degree in suite:
-        prof = profiles[name] = curve_profile(HomForm(poly, degree), hint_points=hints)
+    for name, poly, degree in suite:
+        prof = profiles[name] = curve_profile(HomForm(poly, degree))
         checked += 1
         if prof.total_milnor_rational > (degree - 1) ** 2:
             return LemmaCheckResult("milnor-bound", checked, False, name)

@@ -108,29 +108,29 @@ FERMAT_QUARTIC = X ** 4 + Y ** 4 + Z ** 4
 
 
 def w_N_empty(seed):
-    return (X ** 8 + Y ** 8 + Z ** 8, [])
+    return X ** 8 + Y ** 8 + Z ** 8
 
 
 def w_N_2(seed):
     quartic = pick_form(4, [], seed, avoid_points=[P1], checks=[])
-    return (FOUR_LINES_P1 * quartic, [P1])
+    return FOUR_LINES_P1 * quartic
 
 
 def w_N_1(seed):
     c1, c2, c3 = FLAG_CONICS
     k = _generic_conic(seed, avoid=[P1])
-    return (c1 * c2 * c3 * k, [P1])
+    return c1 * c2 * c3 * k
 
 
 def w_N_1b(seed):
     k = _generic_conic(seed, avoid=[P1])
-    return (FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * k, [P1])
+    return FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * k
 
 
 def w_N_2b(seed):
     u, w = TANGENT_PAIR
     k = _generic_conic(seed, avoid=[P1, P2])
-    return (u * w * X * (X - Y) * k, [P1, P2])
+    return u * w * X * (X - Y) * k
 
 
 # -- two non-simple singularities ---------------------------------------------
@@ -138,17 +138,17 @@ def w_N_2b(seed):
 
 def w_N_11(seed):
     k = _generic_conic(seed, avoid=[P1, P2])
-    return (PENCIL[1] * PENCIL[2] * PENCIL[3] * k, [P1, P2])
+    return PENCIL[1] * PENCIL[2] * PENCIL[3] * k
 
 
 def w_N_11b(seed):
     lam = pick_form(1, [], seed, avoid_points=[P1, P2])
-    return (Y * PENCIL[1] * PENCIL[2] * CONTACT3_P2 * lam, [P1, P2])
+    return Y * PENCIL[1] * PENCIL[2] * CONTACT3_P2 * lam
 
 
 def w_N_1b1b(seed):
     c2 = (Y * Z - X * X + X * Y + Y * Y).primitive()   # contact 3 with PENCIL[1] at P1
-    return (Y * Z * PENCIL[1] * c2 * CONTACT3_P2, [P1, P2])
+    return Y * Z * PENCIL[1] * c2 * CONTACT3_P2
 
 
 def w_N_12_p(seed):
@@ -156,18 +156,18 @@ def w_N_12_p(seed):
     c3 = (T_P1 * Z + 3 * X * Y).primitive()
     ell = (Y - Z).primitive()
     lam = pick_form(1, [], seed, avoid_points=[P1, P3])
-    return (T_CONIC_1 * T_CONIC_2 * c3 * ell * lam, [P1, P3])
+    return T_CONIC_1 * T_CONIC_2 * c3 * ell * lam
 
 
 def w_N_12_pp(seed):
     # distinct quadratic parts so the two conics meet the line z in different
     # conjugate pairs; the concurrent lines at P3 avoid the extra tangency point
     q2 = (Y * Z + 2 * X * X + Y * Y).primitive()
-    return (Y * FLAG_CONICS[0] * q2 * Z * (Y - 2 * Z) * (Y + 2 * Z), [P1, P3])
+    return Y * FLAG_CONICS[0] * q2 * Z * (Y - 2 * Z) * (Y + 2 * Z)
 
 
 def w_N_12b(seed):
-    return (T_P1 * T_CONIC_1 * T_CONIC_2 * CUSPIDAL_CUBIC, [P1, P3])
+    return T_P1 * T_CONIC_1 * T_CONIC_2 * CUSPIDAL_CUBIC
 
 
 def w_N_1b2(seed):
@@ -176,12 +176,12 @@ def w_N_1b2(seed):
     l1 = (Y - Z).primitive()
     l2 = (Y + 2 * Z).primitive()
     lam = pick_form(1, [], seed, avoid_points=[P1, P3])
-    return (T_P1 * T_CONIC_1 * T_CONIC_Y2 * l1 * l2 * lam, [P1, P3])
+    return T_P1 * T_CONIC_1 * T_CONIC_Y2 * l1 * l2 * lam
 
 
 def w_N_1b2b(seed):
     cubic = (X * Y * Y - Z ** 3).primitive()   # cusp at P3 with tangent y
-    return (T_P1 * T_CONIC_1 * T_CONIC_Y2 * cubic, [P1, P3])
+    return T_P1 * T_CONIC_1 * T_CONIC_Y2 * cubic
 
 
 def w_N_22(seed):
@@ -201,12 +201,12 @@ def w_N_22(seed):
         used_dirs.add(("p2", t2))
         conics.append(q.primitive())
     f = conics[0] * conics[1] * conics[2] * conics[3]
-    return (f, [P1, P2])
+    return f
 
 
 def w_N_22b(seed):
     m = (Y - Z).primitive()
-    return (Y * X * (X - Y) * (X + Y) * CUSPIDAL_CUBIC * m, [P1, P3])
+    return Y * X * (X - Y) * (X + Y) * CUSPIDAL_CUBIC * m
 
 
 def w_N_2b2b(seed):
@@ -215,7 +215,7 @@ def w_N_2b2b(seed):
     u2 = (X * Y + X * Z + Y * Y).primitive()
     l_p1 = (X - Y).primitive()
     m_p3 = (Y - Z).primitive()
-    return (w * u1 * u2 * l_p1 * m_p3, [P1, P3])
+    return w * u1 * u2 * l_p1 * m_p3
 
 
 # -- three quadruple-type points ------------------------------------------------
@@ -231,25 +231,25 @@ def _triple_point_conics(specs) -> list[MultiPoly]:
 def w_N_222(seed):
     conics = _triple_point_conics([(1, 1, 1), (2, 1, 3), (1, 2, 5), (3, 5, 1)])
     f = conics[0] * conics[1] * conics[2] * conics[3]
-    return (f, [P1, P2, P3])
+    return f
 
 
 def w_N_222b(seed):
     conics = _triple_point_conics([(1, 1, 1), (1, 1, 2), (2, 1, 3), (3, 2, 1)])
     f = conics[0] * conics[1] * conics[2] * conics[3]
-    return (f, [P1, P2, P3])
+    return f
 
 
 def w_N_22b2b(seed):
     conics = _triple_point_conics([(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 4, 3)])
     f = conics[0] * conics[1] * conics[2] * conics[3]
-    return (f, [P1, P2, P3])
+    return f
 
 
 def w_N_2b2b2b(seed):
     conics = _triple_point_conics([(1, 1, 1), (2, 1, 1), (2, 1, 2), (1, 3, 5)])
     f = conics[0] * conics[1] * conics[2] * conics[3]
-    return (f, [P1, P2, P3])
+    return f
 
 
 # -- the 112 family: two [3;3]-points and one quadruple -------------------------
@@ -271,7 +271,7 @@ def _skeleton_112(seed, flex_p1: bool, flex_p2: bool, pair_at_q: bool):
         lam = (-2 * X + Y + Z).primitive()   # tangent of the conic at P4
         conds.append(ConeDirection(P4, lam, 3, 1))
     quartic = pick_form(4, conds, seed, avoid_points=[P3])
-    return (Y * Z * c * quartic, [P1, P2, P4])
+    return Y * Z * c * quartic
 
 
 def w_N_112_p(seed):
@@ -288,11 +288,11 @@ def w_N_112_pp(seed):
              ConeDirection(P2, Z, 1, 1),
              MultiplicityAtPoint(q, 3)]
     quintic = pick_form(5, conds, seed, checks=[lambda f: not Z.divides(f)])
-    return (Z * PENCIL[1] * quintic, [P1, P2, q])
+    return Z * PENCIL[1] * quintic
 
 
 def w_N_112_ppp(seed):
-    return (Y * Z * PENCIL[1] * PENCIL[2] * (Y - Z) * (Y + Z), [P1, P2, P3])
+    return Y * Z * PENCIL[1] * PENCIL[2] * (Y - Z) * (Y + Z)
 
 
 def w_N_112b(seed):
@@ -334,7 +334,7 @@ def _skeleton_122(seed, flex_p1: bool, pair_at_q2: bool):
     quartic = pick_form(4, conds, seed,
                         checks=[lambda f: not Y.divides(f) and not C_122.divides(f)])
     line = (X - Z).primitive()                    # through Q2, missing P1 and Q1
-    return (Y * C_122 * quartic * line, [P1, Q1_122, Q2_122])
+    return Y * C_122 * quartic * line
 
 
 def w_N_122_p(seed):
@@ -354,7 +354,7 @@ def w_N_122_pp(seed):
     q5 = pick_form(5, [NNPointWithTangent(P1, Y, 2), MultiplicityAtPoint(P3, 1),
                        MultiplicityAtPoint(P4, 3)],
                    seed, checks=[lambda f: all(not l.divides(f) for l in lines)])
-    return (Y * l1 * l2 * q5, [P1, P3, P4])
+    return Y * l1 * l2 * q5
 
 
 def w_N_1b22(seed):
@@ -392,7 +392,7 @@ def _bicuspidal_skeleton(seed, degenerate_33: bool):
         conds.append(ConeDirection(P1, Y, 1, 1))
     quartic = pick_form(4, conds, seed,
                         checks=[lambda f: not c1.divides(f) and not c2.divides(f)])
-    return (c1 * c2 * quartic, [P1, Q1_CUSP, Q2_CUSP])
+    return c1 * c2 * quartic
 
 
 def w_N_12b2b(seed):
@@ -433,7 +433,7 @@ def _on_conic_sextic(seed, degenerate_at):
         else:
             conds.append(NNPointWithTangent(p, TAU[p], 2))
     sextic = pick_form(6, conds, seed)
-    return (TANGENT_CONIC * sextic, [P1, P2, P3])
+    return TANGENT_CONIC * sextic
 
 
 def w_N_111_pp(seed):
@@ -462,7 +462,7 @@ def w_N_111_p(seed):
              NNPointWithTangent(P2, L2_CONC, 2),
              NNPointWithTangent(P3, L3_CONC, 2)]
     quintic = pick_form(5, conds, seed, avoid_points=[P4])
-    return (L1_CONC * L2_CONC * L3_CONC * quintic, [P1, P2, P3, P4])
+    return L1_CONC * L2_CONC * L3_CONC * quintic
 
 
 def w_N_1112_p(seed):
@@ -471,7 +471,7 @@ def w_N_1112_p(seed):
              NNPointWithTangent(P3, L3_CONC, 2),
              MultiplicityAtPoint(P4, 1)]
     quintic = pick_form(5, conds, seed)
-    return (L1_CONC * L2_CONC * L3_CONC * quintic, [P1, P2, P3, P4])
+    return L1_CONC * L2_CONC * L3_CONC * quintic
 
 
 def w_N_1112_pp(seed):
@@ -481,67 +481,66 @@ def w_N_1112_pp(seed):
              NNPointWithTangent(P3, TAU[P3], 2),
              MultiplicityAtPoint(p4, 2)]
     quartic = pick_form(4, conds, seed)
-    return (TANGENT_CONIC * quartic * TAU[P1] * TAU[P2], [P1, P2, P3, p4])
+    return TANGENT_CONIC * quartic * TAU[P1] * TAU[P2]
 
 
 def w_N_2222(seed):
     f = MultiPoly.const(PLANE_VARS, 1)
     for k in range(1, 5):
         f = f * (X * X + k * Y * Y - (1 + k) * Z * Z)
-    pts = [normalize_point(p) for p in ((1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1))]
-    return (f.primitive(), pts)
+    return f.primitive()
 
 
 # -- non-normal strata -------------------------------------------------------------
 
 
 def w_M_4_empty(seed):
-    return (FERMAT_QUARTIC ** 2, [])
+    return FERMAT_QUARTIC ** 2
 
 
 def w_M_3_empty(seed):
     cubic = pick_form(3, [], seed, checks=[])
-    return (CIRCLE * cubic * cubic, [])
+    return CIRCLE * cubic * cubic
 
 
 def w_M_2_empty(seed):
-    return (FERMAT_QUARTIC * CIRCLE ** 2, [])
+    return FERMAT_QUARTIC * CIRCLE ** 2
 
 
 def w_M_2_2(seed):
-    return (FOUR_LINES_P1 * CIRCLE * CIRCLE, [P1])
+    return FOUR_LINES_P1 * CIRCLE * CIRCLE
 
 
 def w_M_1_empty(seed):
     line = (X + Y + Z).primitive()
-    return ((X ** 6 + Y ** 6 + Z ** 6) * line * line, [])
+    return (X ** 6 + Y ** 6 + Z ** 6) * line * line
 
 
 def w_M_1_2(seed):
     line = pick_form(1, [], seed, avoid_points=[P1])
-    return (FOUR_LINES_P1 * CIRCLE * line * line, [P1])
+    return FOUR_LINES_P1 * CIRCLE * line * line
 
 
 def w_M_1_2b(seed):
     u, w = TANGENT_PAIR
     line = pick_form(1, [], seed, avoid_points=[P1, P2])
-    return (u * w * X * (X - Y) * line * line, [P1, P2])
+    return u * w * X * (X - Y) * line * line
 
 
 def w_M_1_1(seed):
     c1, c2, c3 = FLAG_CONICS
     line = pick_form(1, [], seed, avoid_points=[P1])
-    return (c1 * c2 * c3 * line * line, [P1])
+    return c1 * c2 * c3 * line * line
 
 
 def w_M_1_1b(seed):
     line = pick_form(1, [], seed, avoid_points=[P1])
-    return (FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * line * line, [P1])
+    return FLAG_CONICS[0] * FLAG_CONTACT3 * FLAG_CONICS[1] * line * line
 
 
 def w_M_1_11(seed):
     line = pick_form(1, [], seed, avoid_points=[P1, P2])
-    return (PENCIL[1] * PENCIL[2] * PENCIL[3] * line * line, [P1, P2])
+    return PENCIL[1] * PENCIL[2] * PENCIL[3] * line * line
 
 
 # -- registry and validation --------------------------------------------------------
@@ -580,12 +579,12 @@ def build_witness(key: str, seed: int = WITNESS_SEED) -> Witness:
     for k in range(8):
         s = seed + 1009 * k
         try:
-            poly, hints = builder(s)
+            poly = builder(s)
         except WitnessConstructionError as e:
             last_issue = str(e)
             continue
         curve = HomForm(poly.primitive(), 8)
-        profile = curve_profile(curve, hint_points=hints)
+        profile = curve_profile(curve)
         if profile.half_log_canonical and profile.label_tuple == label.match_tuple():
             return Witness(label, curve, profile, s)
         last_issue = f"profile {profile.label_tuple} issues {profile.issues[:2]}"

@@ -1,11 +1,11 @@
-"""Test-only helpers: oracles built on the library's local intersection
-numbers, schoolbook Fraction references for evaluation, derivatives,
-substitution, division and pseudo-remainders, the Bareiss determinant,
-coefficients in one variable and the Sylvester-determinant resultant, local
-intersection numbers from resultants at shears, random projectivities and
-their inverses, the small linear systems that the dimension tables quote,
-stratum dimensions from one tangent-space rank and the partial order on
-Hodge diamonds."""
+"""Test-only helpers: the germ of a curve at a point, oracles built on the
+library's local intersection numbers, schoolbook Fraction references for
+evaluation, derivatives, substitution, division and pseudo-remainders, the
+Bareiss determinant, coefficients in one variable and the Sylvester-determinant
+resultant, local intersection numbers from resultants at shears, random
+projectivities and their inverses, the small linear systems that the dimension
+tables quote, stratum dimensions from one tangent-space rank and the partial
+order on Hodge diamonds."""
 import itertools
 import random
 from fractions import Fraction
@@ -14,11 +14,16 @@ from octica.linalg import rank
 from octica.linsys import (AnchorError, ConeDirection, ContainsCurve, HomForm, LinearSystem,
                            MultiplicityAtPoint, NNPointWithTangent, PLANE_VARS, _det3,
                            _degenerate_direction_combos, condition_ideal_graded_piece,
-                           evaluate_at, normalize_point)
+                           evaluate_at, normalize_point, transport_matrix)
 from octica.paramfam import ParamMatrix, UniversalFamily
 from octica.poly import (MultiPoly, _check_resultant_args, grevlex_key, monomial_basis, poly_gcd,
                          resultant, squarefree_decomposition)
-from octica.singclass import intersection_multiplicity_origin, localize
+from octica.singclass import _chart, _point_on, intersection_multiplicity_origin
+
+
+def localize(curve: HomForm, point) -> MultiPoly:
+    """Germ of the curve at the point: transport to (0:0:1), set z to 1."""
+    return _chart(curve.poly, transport_matrix(_point_on(curve, point)))
 
 
 def intersection_multiplicity(f: HomForm, g: HomForm, point) -> int:

@@ -106,7 +106,7 @@ def test_criterion_4_nonnormal_dimension_table():
 
 def test_criterion_5_catalogue_totals():
     with Criterion(5, "catalogue totals 47 strata / 78 components with the component multiset", 5):
-        totals = catalogue_totals()
+        totals = catalogue_totals(build_catalogue())
         assert totals["strata"] == 47
         assert totals["components"] == 78
         assert totals["normal_component_multiset"] == {1: 16, 2: 13, 3: 6, 4: 2}

@@ -308,10 +308,6 @@ def test_user_errors_exit_1(capsys, monkeypatch, tmp_path, constraint_file):
     assert main(["linsys", "--constraints", str(too_big)]) == 1
     assert capsys.readouterr().err == "error: containment divisor exceeds the ambient degree\n"
 
-    # a hint point that is no projective point is invalid input, not a verdict
-    assert main(["profile", "--curve", "x*y*z", "--point", "0,0,0"]) == 1
-    assert capsys.readouterr().err == "error: not a projective point: (0, 0, 0)\n"
-
     # a negative degree has no forms to speak of
     assert main(["linsys", "--constraints", constraint_file, "--degree", "-3"]) == 1
     assert capsys.readouterr().err == "error: degree out of supported range\n"
@@ -435,13 +431,18 @@ def test_verify_single_lemma(capsys):
 
 
 def test_degenerate_flag_is_direction_zero(capsys, tmp_path):
+    # a degenerate [n;n]-point is spelled "direction": "0"; the old
+    # "degenerate" key is no longer a second name for it
     nn = {"kind": "nn_point", "point": ["1", "2", "1"], "tangent": "x - y + z", "order": 3}
+    path = tmp_path / "nn.json"
     outputs = []
-    for extra in ({}, {"degenerate": True}, {"direction": "0"}, {"degenerate": True, "direction": "0"}):
-        path = tmp_path / "nn.json"
+    for extra in ({}, {"direction": "0"}):
         path.write_text(json.dumps({"degree": 7, "conditions": [dict(nn, **extra)]}))
         assert main(["linsys", "--constraints", str(path), "--basis"]) == 0
-        outputs.append(capsys.readouterr().out)
-    plain, flag, direction, both = outputs
-    assert flag == direction == both
-    assert json.loads(flag)["dim_forms"] == json.loads(plain)["dim_forms"] - 2
+        outputs.append(json.loads(capsys.readouterr().out))
+    plain, direction = outputs
+    assert direction["dim_forms"] == plain["dim_forms"] - 2
+    path.write_text(json.dumps({"degree": 7, "conditions": [dict(nn, degenerate=True)]}))
+    assert main(["linsys", "--constraints", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: condition nn_point: missing [], unexpected ['degenerate']\n")

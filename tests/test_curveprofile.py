@@ -40,12 +40,6 @@ def test_three_conic_configuration_has_two_contact_points():
     assert prof.total_milnor_rational == 20
 
 
-def test_points_found_without_hints():
-    three = ((Y * Z - X * X) * (Y * Z - 2 * X * X) * (Y * Z - 3 * X * X)).primitive()
-    prof = curve_profile(HomForm(three, 6), hint_points=[])
-    assert sorted(r.type_string() for r in prof.reports) == ["J10", "J10"]
-
-
 def test_doubled_component_bookkeeping():
     octic = HomForm(((X ** 6 + Y ** 6 + Z ** 6) * (X + Y + Z) ** 2).primitive(), 8)
     prof = curve_profile(octic)
@@ -90,8 +84,7 @@ def test_conductor_conic_contact_rejected(coords):
 
 
 def test_quadruple_line_cone_rejected():
-    prof = curve_profile(HomForm((X ** 5 * Z ** 3 + Y ** 8).primitive(), 8),
-                         hint_points=[(0, 0, 1)])
+    prof = curve_profile(HomForm((X ** 5 * Z ** 3 + Y ** 8).primitive(), 8))
     assert not prof.half_log_canonical
 
 

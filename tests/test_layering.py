@@ -64,6 +64,11 @@ def _loaded(*modules) -> set[str]:
     return {m.removeprefix("octica.") for m in out.split()}
 
 
+def test_the_package_imports_nothing():
+    # a catalogue or diagram request needs no polynomial arithmetic
+    assert _loaded("octica.strata") == {"octica", "strata"}
+
+
 def test_each_request_path_loads_only_its_own_modules():
     # the imports of bench/systems.py: graded pieces and parametric families
     assert _loaded("octica.cli", "octica.linsys", "octica.paramfam") == {

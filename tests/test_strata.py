@@ -30,7 +30,7 @@ def test_inhabited_strata_counts():
 
 
 def test_catalogue_totals():
-    totals = catalogue_totals()
+    totals = catalogue_totals(build_catalogue())
     assert totals["strata"] == 47
     assert totals["components"] == 78
 

@@ -41,19 +41,21 @@ def test_component_specific_configurations():
     assert on_line(rep_on.distinguished_tangent, quad_on.point)
 
 
-# sha256 of str(poly), seed_used and sha256 of the sorted profile JSON for the
-# quick catalogue keys at WITNESS_SEED, recorded before Milnor numbers were
-# computed once per point and forms' gcds one variable down; a change meant
-# to be faster only must leave them byte-identical
+# sha256 of str(poly), seed_used and sha256 of the key-sorted profile JSON for
+# the quick catalogue keys at WITNESS_SEED, recorded before Milnor numbers were
+# computed once per point and forms' gcds one variable down (the profile
+# hashes of N_12_pp, N_112_ppp, N_1b1b, M_1_11 and M_1_2b re-recorded when
+# reports took the point search's order); a change meant to be faster only
+# must leave them byte-identical
 QUICK_WITNESS_GOLDEN = {
     "N_empty": ("9b055da6f8d1cd73c2915aedfa882803ae312fbe95725ee3abe9bec4cdcb0947", 90101,
                 "41d6f4ce8ac8192538dd85350267192f8aa2e5ebec920e88db45f442e8c875f2"),
     "N_12_pp": ("c4cb43174bfc9624520952d5d592b39a749630da47bcb71dbe8988ea6ac11a36", 90101,
-                "be00229b61736aa6552725430532e031273c93a7bbc9a4c36e72a50669826ca2"),
+                "a83053b5fa9fff25a974c4428111099a794911f79de50ba83ad653834e9b9c99"),
     "N_112_ppp": ("ec0c757d6c58b652cf1e67777617e1d3419fb1eff461f921de73b95537a2349e", 90101,
-                  "5e49481edf4508073f266d8310b35a03434a614aa86f779eabfea3e3625ba3fd"),
+                  "02943c6d2031bdc81e63973e97fee4823e8104bc8f17175409d5ed95f31249e8"),
     "N_1b1b": ("1525aca3795fc1d2dca4f4001208180ba50714bfd91e4858a9ad3091e12a6eac", 90101,
-               "06a69800f5475d7f3fa2cefbd26c47b92a08368de8075d4c0035f70dd9158a95"),
+               "0ee9c3b4de98365e144b203682a535dd74ddc81de07669ab8ca8a02dffe55684"),
     "M_4_empty": ("f223be587376f4f96d651ccb5f0adb390771c6360420cfc4ec74c37ead5858f6", 90101,
                   "d2eede91436d0911b835d94d5552d6173d92d38cee1642b43cb6bf092ecc50b9"),
     "M_3_empty": ("1c307ee45ecaab767e78241005b6d5a6e1c98332599d3bb1095ea59e0e792c5d", 90101,
@@ -65,11 +67,11 @@ QUICK_WITNESS_GOLDEN = {
     "M_1_empty": ("096f5c914f2407252a3b8de66451d4cb7bbbd057508853d8c484f79ec32f7c50", 90101,
                   "032ae6d55b9957c358888107a7ec8d8155e49df0750c4adc6840aa8f07519f65"),
     "M_1_11": ("37ac2a8f2f577d89088195d54cea718b0136b680714092759cc629f0bf7a4683", 90101,
-               "5d6f09e6c00f1eb5a6c5f6c4a507a63986ec7dac6de25559b5b41e140d99a864"),
+               "504f25a4a64f1261470ef625a5ba7ffc8af9a1ed43c2a04447b0e7f44e63c77e"),
     "M_1_2": ("525938a2494f12800b0af114f3ed9717bcb93438f48f23e66f77a2fd64231cd6", 90101,
               "adb0e28bb8d87546579c75ca1c7d1fbf6d1badcbf76fd1bd11ed4eaf2d4da2df"),
     "M_1_2b": ("4aa79af263a2b36a064c507d941fee3ebc4e1180e5bfc402e225de04bf36bf57", 90101,
-               "65d96700c5d1b43895a1f2ca3f1ca156cad4dc4e99fd207e24162cdc2ba75bd9"),
+               "633f71549f29019debd9eba5ce45a37e62a1919e3cebfd897af1609ef800cc4c"),
 }
 
 
